@@ -324,12 +324,6 @@ def _bench_command(args: argparse.Namespace) -> int:
 def _add_common(sub: argparse.ArgumentParser, formats=("text", "json")) -> None:
     sub.add_argument("--format", choices=formats, default=formats[0])
     sub.add_argument("-o", "--output", default=None, help="write to a file instead of stdout")
-    sub.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="accepted for interface stability; solving is single-threaded",
-    )
 
 
 def _build_parser() -> argparse.ArgumentParser:

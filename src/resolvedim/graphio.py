@@ -68,16 +68,22 @@ def _parse_json(text: str) -> Graph:
         raise ValueError('JSON graph needs keys "n" and "edges"')
     n = obj["n"]
     edges = obj["edges"]
-    if not isinstance(n, int):
+    if not _is_int(n):
         raise ValueError('"n" must be an integer')
     if not isinstance(edges, list):
         raise ValueError('"edges" must be a list of pairs')
     pairs = []
     for i, e in enumerate(edges):
-        if not (isinstance(e, list) and len(e) == 2 and all(isinstance(x, int) for x in e)):
+        if not (isinstance(e, list) and len(e) == 2 and all(map(_is_int, e))):
             raise ValueError(f"edge {i} is not an integer pair")
         pairs.append((e[0], e[1]))
     return build_graph(n, pairs)
+
+
+def _is_int(x) -> bool:
+    """True for a JSON integer; JSON true/false arrive as bool, an int
+    subclass, and are rejected."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def graph_to_edge_list(g: Graph) -> str:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterator, Optional, Sequence
 
 
@@ -106,13 +107,13 @@ def truncated_distance(d: DistanceMatrix, x: int, y: int, k: int) -> int:
     return min(v, k + 1)
 
 
-def is_twin_pair(g: Graph, u: int, w: int) -> bool:
-    """Return True if N(u) - {w} equals N(w) - {u}."""
-    if u == w:
-        return False
-    nu = set(g.adjacency[u]) - {w}
-    nw = set(g.adjacency[w]) - {u}
-    return nu == nw
+def truncated_row(drow: Sequence[int], k: int, n: int) -> tuple[int, ...]:
+    """Truncate one distance row at k + 1, the sentinel n included: entry x
+    becomes k + 1 if x >= n, else min(x, k + 1)."""
+    cut = k + 1
+    if cut <= n:
+        return tuple(map(min, drow, repeat(cut)))
+    return tuple(cut if x >= n else x for x in drow)
 
 
 @dataclass(frozen=True)
@@ -135,24 +136,31 @@ def twin_partition(g: Graph) -> TwinPartition:
     assumed. Singleton groups are kept so the groups form a partition.
     """
     n = g.n
-    pair_set = {
-        (u, w) for u in range(n) for w in range(u + 1, n) if is_twin_pair(g, u, w)
-    }
-    assigned = [False] * n
+    # u, w are twins iff N(u) - {w} equals N(w) - {u}; on neighbourhood
+    # bitmasks, iff the masks agree once each drops the other.
+    nbr = [sum(map((1).__lshift__, row)) for row in g.adjacency]
+    pairs = []
+    partners = [0] * n  # partners[w] has bit x set iff x, w are twins
+    for u in range(n):
+        for w in range(u + 1, n):
+            if nbr[u] & ~(1 << w) == nbr[w] & ~(1 << u):
+                pairs.append((u, w))
+                partners[u] |= 1 << w
+                partners[w] |= 1 << u
+    taken = 0
     groups = []
     for u in range(n):
-        if assigned[u]:
+        if taken >> u & 1:
             continue
         grp = [u]
-        assigned[u] = True
+        members = 1 << u
         for w in range(u + 1, n):
-            if assigned[w]:
-                continue
-            if all((x, w) in pair_set for x in grp):
+            if not taken >> w & 1 and partners[w] & members == members:
                 grp.append(w)
-                assigned[w] = True
+                members |= 1 << w
+        taken |= members
         groups.append(tuple(grp))
-    return TwinPartition(tuple(sorted(pair_set)), tuple(groups))
+    return TwinPartition(tuple(pairs), tuple(groups))
 
 
 @dataclass(frozen=True)

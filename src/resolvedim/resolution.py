@@ -13,7 +13,13 @@ from dataclasses import dataclass
 from math import prod
 from typing import Optional, Sequence
 
-from .graphs import DistanceMatrix, Graph, all_pairs_distances
+from .graphs import (
+    DistanceMatrix,
+    Graph,
+    all_pairs_distances,
+    truncated_distance,
+    truncated_row,
+)
 
 
 @dataclass(frozen=True)
@@ -68,25 +74,11 @@ def broadcast_code(g: Graph, d: DistanceMatrix, f, v: int) -> tuple[int, ...]:
     """Return v's code: one truncated distance per support vertex, in
     ascending support order."""
     vals = _check_broadcast(g, f)
-    code = []
-    for z, x in enumerate(vals):
-        if x == 0:
-            continue
-        dzv = d.dist[z][v]
-        code.append(x + 1 if dzv >= d.n else min(dzv, x + 1))
-    return tuple(code)
+    return tuple(truncated_distance(d, z, v, x) for z, x in enumerate(vals) if x)
 
 
 def _code_table(g: Graph, d: DistanceMatrix, vals: Sequence[int]) -> list[tuple[int, ...]]:
-    n = g.n
-    rows = []
-    for z, x in enumerate(vals):
-        if x == 0:
-            continue
-        drow = d.dist[z]
-        cap = x + 1
-        rows.append(tuple(cap if drow[v] >= n else min(drow[v], cap) for v in range(n)))
-    return list(zip(*rows))
+    return list(zip(*(truncated_row(d.dist[z], x, g.n) for z, x in enumerate(vals) if x)))
 
 
 def _first_collision(codes: Sequence[tuple[int, ...]]) -> Optional[tuple[int, int]]:
@@ -134,10 +126,7 @@ def is_adjacency_resolving_set(g: Graph, s, d: Optional[DistanceMatrix] = None) 
     vs = _check_set(g, s)
     if d is None:
         d = all_pairs_distances(g)
-    n = g.n
-    codes = list(
-        zip(*(tuple(min(d.dist[z][v], 2) if d.dist[z][v] < n else 2 for v in range(n)) for z in vs))
-    )
+    codes = list(zip(*(truncated_row(d.dist[z], 1, g.n) for z in vs)))
     pair = _first_collision(codes)
     return Verdict(pair is None, pair)
 

@@ -1,19 +1,41 @@
 """Exact solvers for the four dimension parameters, exhaustive
 enumeration of minimum broadcasts, and the path/cycle flattening rewrite.
 
-Every search is deterministic: candidate sets are scanned in
-lexicographic order and the first optimum found is therefore the
-lexicographically least witness (sorted-vector order for sets,
-value-vector order for broadcasts). Order-1 graphs take value 1 by
-convention for all parameters.
+All four parameters ask for the cheapest strength vector f whose codes
+are all distinct, where a vertex z with f(z) = i > 0 contributes the row
+of its distances truncated at i + 1 (`truncated_row`). dim, dim_k and
+adim are the subset case: every strength is 1, and a landmark's row holds
+its distances for dim, truncated at k + 1 for dim_k and at 2 for adim.
+bdim lets strengths range up to `broadcast_value_caps`.
+
+One search kernel, `_search`, serves them all. It walks the vectors of
+one cost at a time, depth first, in lexicographic order: sorted-subset
+order for sets and value-vector order for broadcasts. Each step fixes
+the next support vertex and its strength and refines every vertex's code
+by that one landmark; codes are ints, `code * base + entry`, built with
+one C-level `map(add, ...)` per step, and a vector resolves when
+`len(set(map(add, prefix, row))) == n`. The first resolving vector is
+therefore the lexicographically least witness; `enumerate_min_broadcasts`
+runs the same search but collects every resolving vector.
+
+A vector is a candidate unless it leaves two members of one twin group
+at strength 0 or, for bdim and the enumerator, fails the counting
+condition |supp| + prod(f + 1) >= n. Neither kind of vector can resolve;
+the kernel cuts a subtree only when every vector in it is of one of
+those kinds, and never examines them. `candidates_examined` counts the
+candidates checked in lexicographic order, level after level, up to and
+including the first resolving one, so it does not depend on how the
+search is implemented.
+
+Order-1 graphs take value 1 by convention for all parameters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, count
-from math import prod
-from typing import Iterator, Optional, Union
+from itertools import accumulate, count
+from operator import add
+from typing import Iterable, Optional, Sequence, Union
 
 from .graphs import (
     DistanceMatrix,
@@ -21,6 +43,7 @@ from .graphs import (
     all_pairs_distances,
     build_graph,
     metric_profile,
+    truncated_row,
     twin_partition,
 )
 from .resolution import Broadcast, is_resolving_broadcast, is_resolving_set
@@ -45,12 +68,135 @@ class EnumerationResult:
     broadcasts: tuple[tuple[int, ...], ...]
 
 
-def _solve_by_subsets(g: Graph, rows, kind: str) -> SolverResult:
-    """Scan vertex subsets by ascending size, lexicographic within a size.
+def _search(
+    rows,
+    caps: Sequence[int],
+    levels: Iterable[int],
+    base: int,
+    need: int,
+    groups,
+    descending: bool,
+    collect: bool = False,
+) -> tuple[Optional[int], int, list[tuple[tuple[int, int], ...]]]:
+    """Scan strength vectors level by level, each cost of `levels` in turn
+    and lexicographic order within a cost, for ones whose codes are all
+    distinct; stop after the first level that has one.
 
-    `rows[z][v]` is the code entry vertex z contributes to v. Subsets
-    leaving two members of one twin group unchosen cannot resolve and
-    are skipped without being counted.
+    A vector is built one support vertex at a time: each step picks the
+    next vertex z above the previous one and a strength 1 <= v <= caps[z],
+    and refines every vertex's code with the row `rows[v][z]`. Codes are
+    ints, `code * base + entry`, so `base` must exceed every row entry.
+    With `descending` the next vertex is tried from the top down and
+    strengths from the bottom up, which is ascending value-vector order;
+    otherwise vertices go up (all caps 1), which is ascending sorted-subset
+    order.
+
+    A vector is a candidate unless it leaves two members of one group of
+    `groups` at strength 0, or it fails `|supp| + prod(f + 1) >= need`.
+    Only candidates are counted and checked, and a subtree is cut only when
+    none of its vectors can be a candidate. Returns the cost reached (None
+    if the levels ran out), the number of candidates examined, and the
+    resolving vectors at that cost as (vertex, strength) pairs: the first
+    one, or with `collect` all of them.
+    """
+    n = len(caps)
+    # after[z] = sum(caps[z + 1:]), the most cost the vertices above z take.
+    after = list(accumulate(caps[:0:-1], initial=0))[::-1]
+    ones = rows[1]
+    masks = [sum(map((1).__lshift__, grp)) for grp in groups]
+    top = 1 << n
+    examined = 0
+    path: list[tuple[int, int]] = []
+    found: list[tuple[tuple[int, int], ...]] = []
+
+    def extend(codes, last: int, rem: int, supp: int, weight: int, zeros: int) -> bool:
+        """Try every way to spend `rem` more on vertices above `last`.
+
+        `codes` holds each vertex's code so far, times `base`; the vector
+        so far has `supp` support vertices, prod(f + 1) = `weight`, and
+        the vertices up to `last` at strength 0 in the bitmask `zeros`.
+        Returns True once the first resolving vector is found.
+        """
+        nonlocal examined
+        supp += 1  # counting the next support vertex
+        hi = n  # the next support vertex is below hi
+        owed = 0  # support vertices still owed to twin groups
+        owing = 0  # the members that can pay them
+        still = 0
+        skipped = 0
+        if masks:
+            above = top - (1 << (last + 1))
+            for m in masks:
+                # The group's members left at 0 if nothing above `last` is
+                # chosen; all but one of them must still be chosen, and the
+                # next vertex may not skip two of them.
+                t = (zeros | above) & m
+                u = t & (t - 1)
+                if u:
+                    p = (u & -u).bit_length()
+                    if p < hi:
+                        hi = p
+                    owed += t.bit_count() - 1
+                    owing |= t
+        zs = range(hi - 1, last, -1) if descending else range(last + 1, hi)
+        if rem == 1:
+            # Every child is a leaf at strength 1.
+            if supp + 2 * weight < need:
+                return False
+            for z in zs:
+                if owed > owing >> z & 1:
+                    continue
+                examined += 1
+                if len(set(map(add, codes, ones[z]))) == n:
+                    found.append((*path, (z, 1)))
+                    if not collect:
+                        return True
+            return False
+        # Rows that end a vector here, if any vertex can take all of rem.
+        ends = rows[rem] if rem < len(rows) and supp + weight * (rem + 1) >= need else ()
+        for z in zs:
+            cap = caps[z]
+            lo = rem - after[z]
+            if lo > cap:
+                continue
+            if masks:
+                still = owed - (owing >> z & 1)
+                skipped = zeros | ((1 << z) - (1 << (last + 1)))
+            for v in range(lo if lo > 1 else 1, cap + 1 if cap < rem else rem):
+                left = rem - v
+                w = weight * (v + 1)
+                # Each unit of cost left adds at most one support vertex and
+                # doubles the product at most, so supp + left + w * 2**left
+                # bounds |supp| + prod(f + 1) below here. It falls as v
+                # grows, and so does `left`.
+                if still > left or supp + left + (w << left) < need:
+                    break
+                path.append((z, v))
+                if extend([c * base for c in map(add, codes, rows[v][z])], z, left, supp, w, skipped):
+                    return True
+                path.pop()
+            if cap < rem or still or not ends:
+                continue
+            examined += 1
+            if len(set(map(add, codes, ends[z]))) == n:
+                found.append((*path, (z, rem)))
+                if not collect:
+                    return True
+        return False
+
+    start = [0] * n
+    for total in levels:
+        if total + (1 << total) >= need:
+            extend(start, -1, total, 0, 1, 0)
+            if found:
+                return total, examined, found
+    return None, examined, found
+
+
+def _solve_by_subsets(g: Graph, rows, base: int, kind: str) -> SolverResult:
+    """Search vertex subsets by ascending size, lexicographic within a size.
+
+    `rows[z][v]` is the code entry vertex z contributes to v, below `base`.
     """
     n = g.n
     if n == 0:
@@ -59,18 +205,11 @@ def _solve_by_subsets(g: Graph, rows, kind: str) -> SolverResult:
         return SolverResult(kind, 1, (0,), 0, 1)
     twins = twin_partition(g)
     lb = max(1, twins.forced_minimum())
-    groups = [set(grp) for grp in twins.groups if len(grp) > 1]
-    examined = 0
-    for size in range(lb, n):
-        for subset in combinations(range(n), size):
-            chosen = set(subset)
-            if any(len(grp - chosen) > 1 for grp in groups):
-                continue
-            examined += 1
-            codes = set(zip(*(rows[z] for z in subset)))
-            if len(codes) == n:
-                return SolverResult(kind, size, subset, examined, lb)
-    raise RuntimeError("subset search exhausted without a resolving set")
+    groups = [grp for grp in twins.groups if len(grp) > 1]
+    size, examined, found = _search((None, rows), (1,) * n, range(lb, n), base, 0, groups, False)
+    if size is None:
+        raise RuntimeError("subset search exhausted without a resolving set")
+    return SolverResult(kind, size, next(zip(*found[0])), examined, lb)
 
 
 def solve_dim(g: Graph, d: Optional[DistanceMatrix] = None) -> SolverResult:
@@ -78,14 +217,11 @@ def solve_dim(g: Graph, d: Optional[DistanceMatrix] = None) -> SolverResult:
     if g.n > 1 and d is None:
         d = all_pairs_distances(g)
     rows = d.dist if g.n > 1 else ()
-    return _solve_by_subsets(g, rows, "dim")
+    return _solve_by_subsets(g, rows, g.n + 1, "dim")
 
 
-def _truncated_rows(g: Graph, d: DistanceMatrix, k: int) -> tuple[tuple[int, ...], ...]:
-    n = g.n
-    return tuple(
-        tuple(k + 1 if x >= n else min(x, k + 1) for x in row) for row in d.dist
-    )
+def _truncated_rows(d: DistanceMatrix, k: int) -> list[tuple[int, ...]]:
+    return [truncated_row(row, k, d.n) for row in d.dist]
 
 
 def solve_dim_k(g: Graph, k: int, d: Optional[DistanceMatrix] = None) -> SolverResult:
@@ -93,10 +229,10 @@ def solve_dim_k(g: Graph, k: int, d: Optional[DistanceMatrix] = None) -> SolverR
     if k <= 0:
         raise ValueError("truncation parameter k must be positive")
     if g.n <= 1:
-        return _solve_by_subsets(g, (), "dim_k")
+        return _solve_by_subsets(g, (), 0, "dim_k")
     if d is None:
         d = all_pairs_distances(g)
-    return _solve_by_subsets(g, _truncated_rows(g, d, k), "dim_k")
+    return _solve_by_subsets(g, _truncated_rows(d, k), max(g.n, k + 2), "dim_k")
 
 
 def solve_adim(g: Graph, d: Optional[DistanceMatrix] = None) -> SolverResult:
@@ -141,28 +277,12 @@ def _counting_lower_bound(n: int) -> int:
     raise AssertionError("unreachable")
 
 
-def _compositions(total: int, caps: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Yield all capped compositions of `total` in lexicographic order."""
-    n = len(caps)
-    suffix = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + caps[i]
+def _vector(n: int, support) -> tuple[int, ...]:
+    """Spell out a vector given as (vertex, strength) pairs."""
     vec = [0] * n
-
-    def rec(i: int, rem: int) -> Iterator[tuple[int, ...]]:
-        if rem > suffix[i]:
-            return
-        if i == n - 1:
-            vec[i] = rem
-            yield tuple(vec)
-            return
-        for val in range(min(caps[i], rem) + 1):
-            vec[i] = val
-            yield from rec(i + 1, rem - val)
-
-    if n == 0:
-        return
-    yield from rec(0, total)
+    for z, v in support:
+        vec[z] = v
+    return tuple(vec)
 
 
 def solve_bdim(g: Graph, d: Optional[DistanceMatrix] = None) -> SolverResult:
@@ -184,56 +304,42 @@ def solve_bdim(g: Graph, d: Optional[DistanceMatrix] = None) -> SolverResult:
     prof = metric_profile(g, d)
     caps = broadcast_value_caps(g, d)
     twins = twin_partition(g)
-    groups = [set(grp) for grp in twins.groups if len(grp) > 1]
+    groups = [grp for grp in twins.groups if len(grp) > 1]
     lb = max(
         1,
         -(-prof.finite_diameter // 3),
         twins.forced_minimum(),
         _counting_lower_bound(n),
     )
-    # rows_by_strength[z][i] = code row of z at strength i (index 0 unused)
-    rows_by_strength = []
-    for z in range(n):
-        drow = d.dist[z]
-        per = [None]
-        for i in range(1, caps[z] + 1):
-            per.append(tuple(i + 1 if x >= n else min(x, i + 1) for x in drow))
-        rows_by_strength.append(per)
-    examined = 0
-    for s in count(lb):
-        for vec in _compositions(s, caps):
-            if any(sum(1 for v in grp if vec[v] == 0) > 1 for grp in groups):
-                continue
-            supp = [z for z in range(n) if vec[z] > 0]
-            if len(supp) + prod(vec[z] + 1 for z in supp) < n:
-                continue
-            examined += 1
-            codes = set(zip(*(rows_by_strength[z][vec[z]] for z in supp)))
-            if len(codes) == n:
-                return SolverResult("bdim", s, Broadcast(vec), examined, lb)
+    # rows[i][z] = code row of z at strength i (None above z's cap)
+    rows = [None] + [
+        [truncated_row(drow, i, n) if i <= cap else None for drow, cap in zip(d.dist, caps)]
+        for i in range(1, max(caps) + 1)
+    ]
+    cost, examined, found = _search(rows, caps, count(lb), n + 1, n, groups, True)
+    return SolverResult("bdim", cost, Broadcast(_vector(n, found[0])), examined, lb)
 
 
 def enumerate_min_broadcasts(g: Graph, d: Optional[DistanceMatrix] = None) -> EnumerationResult:
     """List every minimum-cost resolving broadcast.
 
-    Plain ascending-cost scan over all uncapped compositions of each cost;
-    the first level with any resolving broadcast is returned in full, in
-    lexicographic order. No pruning is applied, so the output is the whole
-    optimum set.
+    Ascending-cost scan over all uncapped vectors of each cost; the first
+    level with any resolving broadcast is returned in full, in
+    lexicographic order. Only vectors that cannot resolve (the twin and
+    counting filters) are skipped, so the output is the whole optimum set.
     """
     n = g.n
     if n == 0:
         raise ValueError("graph has no vertices")
     if d is None:
         d = all_pairs_distances(g)
+    groups = [grp for grp in twin_partition(g).groups if len(grp) > 1]
+    rows = [None]
     for s in count(1):
-        found = [
-            vec
-            for vec in _compositions(s, (s,) * n)
-            if is_resolving_broadcast(g, vec, d)
-        ]
+        rows.append([truncated_row(drow, s, n) for drow in d.dist])
+        _, _, found = _search(rows, (s,) * n, (s,), max(n, s + 2), n, groups, True, collect=True)
         if found:
-            return EnumerationResult(s, tuple(found))
+            return EnumerationResult(s, tuple(_vector(n, sup) for sup in found))
 
 
 def _canonical_shape(g: Graph) -> Optional[str]:
@@ -353,7 +459,7 @@ def revalidate(g: Graph, result: SolverResult, k: Optional[int] = None) -> bool:
         if k is None:
             raise ValueError("dim_k revalidation needs k")
         d = all_pairs_distances(g)
-        rows = _truncated_rows(g, d, k)
+        rows = _truncated_rows(d, k)
         codes = set(zip(*(rows[z] for z in result.witness)))
         return len(codes) == g.n
     if result.kind == "bdim":

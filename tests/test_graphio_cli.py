@@ -110,16 +110,6 @@ def test_dimk_needs_k(tmp_path, capsys):
     assert Report.from_json(capsys.readouterr().out).value == report.value
 
 
-def test_solve_output_ignores_threads(tmp_path, capsys):
-    path = _write_graph(tmp_path, families.cycle(7))
-    main(["bdim", path, "--format", "json", "--threads", "1"])
-    one = json.loads(capsys.readouterr().out)
-    main(["bdim", path, "--format", "json", "--threads", "4"])
-    four = json.loads(capsys.readouterr().out)
-    for key in ("value", "witness", "bounds", "stats"):
-        assert one[key] == four[key]
-
-
 def test_solve_write_to_file(tmp_path):
     path = _write_graph(tmp_path, families.star(3))
     out = tmp_path / "report.json"
@@ -133,6 +123,32 @@ def test_solve_input_errors(tmp_path, capsys):
     bad.write_text("2 1\n0 1 2\n")
     assert main(["dim", str(bad)]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_json_bool_order_is_an_input_error(monkeypatch, capsys):
+    with pytest.raises(ValueError, match='"n" must be an integer'):
+        graphio.parse_graph('{"n": true, "edges": []}')
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"n": true, "edges": []}'))
+    assert main(["dim", "-"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert '"n" must be an integer' in captured.err
+
+
+def test_json_bool_endpoint_is_an_input_error(monkeypatch, capsys):
+    with pytest.raises(ValueError, match="edge 1 is not an integer pair"):
+        graphio.parse_graph('{"n": 3, "edges": [[0, 1], [1, false]]}')
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"n": 3, "edges": [[true, 2]]}'))
+    assert main(["bdim", "-", "--format", "json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "edge 0 is not an integer pair" in captured.err
+
+
+def test_threads_flag_is_gone(tmp_path, capsys):
+    path = _write_graph(tmp_path, families.cycle(7))
+    assert main(["bdim", path, "--threads", "1"]) == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_enum_min_json(tmp_path, capsys):

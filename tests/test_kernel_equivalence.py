@@ -1,0 +1,80 @@
+"""The search-kernel solvers against the seed's exhaustive scans.
+
+`seed_oracle` keeps the scans the solvers used before the incremental
+kernel. Every solver must return the same value, witness, candidate count
+and starting lower bound, and the enumerator the same broadcasts.
+"""
+
+from __future__ import annotations
+
+import random
+from itertools import combinations
+
+import seed_oracle
+from resolvedim import (
+    all_pairs_distances,
+    build_graph,
+    disjoint_union,
+    enumerate_min_broadcasts,
+    families,
+    metric_profile,
+    solve_adim,
+    solve_bdim,
+    solve_dim,
+    solve_dim_k,
+)
+
+
+def _fields(res):
+    return res.value, res.witness, res.candidates_examined, res.lower_bound_used
+
+
+def _assert_same_solves(g):
+    d = all_pairs_distances(g)
+    pairs = [
+        ("dim", solve_dim(g, d), seed_oracle.solve_dim(g, d)),
+        ("adim", solve_adim(g, d), seed_oracle.solve_dim_k(g, 1, d)),
+        ("bdim", solve_bdim(g, d), seed_oracle.solve_bdim(g, d)),
+    ]
+    pairs += [
+        (f"dim_{k}", solve_dim_k(g, k, d), seed_oracle.solve_dim_k(g, k, d)) for k in (1, 2, 3)
+    ]
+    for kind, new, old in pairs:
+        assert _fields(new) == _fields(old), f"{kind} on n={g.n} edges={g.edges()}"
+
+
+def _labelled_graphs(max_order):
+    for n in range(1, max_order + 1):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(2 ** len(pairs)):
+            yield build_graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+
+
+def test_every_labelled_graph_up_to_order_5():
+    count = 0
+    for g in _labelled_graphs(5):
+        _assert_same_solves(g)
+        d = all_pairs_distances(g)
+        new = enumerate_min_broadcasts(g, d)
+        assert new == seed_oracle.enumerate_min_broadcasts(g, d), f"n={g.n} edges={g.edges()}"
+        count += 1
+    assert count == 1 + 2 + 8 + 64 + 1024
+
+
+def test_seeded_random_graphs_and_trees():
+    rng = random.Random(20050731)
+    for n in range(6, 10):
+        for _ in range(8):
+            p = rng.uniform(0.1, 0.7)
+            _assert_same_solves(families.random_graph(n, p, rng.randrange(2**31)))
+            _assert_same_solves(families.random_tree(n, rng.randrange(2**31)))
+        # A disconnected graph of every order: these take the
+        # finite-eccentricity branch of the broadcast caps.
+        g = disjoint_union(families.random_tree(n - 3, n), families.path(3))
+        assert not metric_profile(g).connected
+        _assert_same_solves(g)
+
+
+def test_cycle_and_path_of_order_10():
+    _assert_same_solves(families.cycle(10))
+    _assert_same_solves(families.path(10))
