@@ -26,7 +26,10 @@ def main():
 
     res = solve_dim(petersen())
     print(f"\npetersen lex-least resolving set: {res.witness}")
-    print(f"candidates examined: {res.candidates_examined}, lower bound {res.lower_bound_used}")
+    print(
+        f"candidates examined: {res.candidates_examined} (codes compared for {res.candidates_checked}),"
+        f" lower bound {res.lower_bound_used}"
+    )
 
 
 if __name__ == "__main__":

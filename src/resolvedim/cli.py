@@ -133,12 +133,13 @@ def _solve_command(args: argparse.Namespace) -> int:
     else:
         res = solve_bdim(g, d)
     elapsed = int((time.perf_counter() - started) * 1000)
-    if not revalidate(g, res, k=args.k if args.command == "dimk" else None):
+    if not revalidate(g, res, k=args.k if args.command == "dimk" else None, d=d):
         print("error: solver witness failed re-validation", file=sys.stderr)
         return 4
     witness = list(res.witness.values) if args.command == "bdim" else list(res.witness)
     stats = {
         "candidates_examined": res.candidates_examined,
+        "candidates_checked": res.candidates_checked,
         "lower_bound_used": res.lower_bound_used,
         "order": g.n,
         "size": g.m,
@@ -161,7 +162,8 @@ def _solve_command(args: argparse.Namespace) -> int:
             f"graph: {report.input}",
             f"{res.kind} = {res.value}",
             f"witness: {witness}",
-            f"examined {res.candidates_examined} candidates (lower bound {res.lower_bound_used})",
+            f"examined {res.candidates_examined} candidates, checked {res.candidates_checked}"
+            f" (lower bound {res.lower_bound_used})",
             f"time: {elapsed} ms",
         ]
         _emit("\n".join(lines), args.output)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import combinations, repeat
 from typing import Iterator, Optional, Sequence
 
 
@@ -125,41 +125,33 @@ class TwinPartition:
 
     def forced_minimum(self) -> int:
         """Return sum of (|group| - 1): a lower bound on any resolving support."""
-        return sum(len(grp) - 1 for grp in self.groups if len(grp) > 1)
+        return sum(map(len, self.groups)) - len(self.groups)
 
 
 def twin_partition(g: Graph) -> TwinPartition:
-    """List every twin pair and group vertices by pairwise twin-ness.
+    """List every twin pair and group the vertices into twin classes.
 
-    Groups are built greedily in ascending vertex order and each candidate
-    is verified against every current member, so no transitivity is
-    assumed. Singleton groups are kept so the groups form a partition.
+    u and w are twins iff N(u) - {w} = N(w) - {u}: iff N(u) = N(w) (then
+    they are not adjacent) or N[u] = N[w] (then they are). Twinness is an
+    equivalence relation, and no open neighbourhood equals a closed one
+    (N(u) = N[w] would put w in N(u), so u in N(w) and then in N(u)). So
+    one dict keyed by both neighbourhood bitmasks of every vertex collects
+    each class in one bucket. Groups ascend by their least vertex, and
+    singleton groups are kept so the groups form a partition.
     """
-    n = g.n
-    # u, w are twins iff N(u) - {w} equals N(w) - {u}; on neighbourhood
-    # bitmasks, iff the masks agree once each drops the other.
     nbr = [sum(map((1).__lshift__, row)) for row in g.adjacency]
-    pairs = []
-    partners = [0] * n  # partners[w] has bit x set iff x, w are twins
-    for u in range(n):
-        for w in range(u + 1, n):
-            if nbr[u] & ~(1 << w) == nbr[w] & ~(1 << u):
-                pairs.append((u, w))
-                partners[u] |= 1 << w
-                partners[w] |= 1 << u
-    taken = 0
+    buckets: dict[int, list[int]] = {}
+    for u, mask in enumerate(nbr):
+        buckets.setdefault(mask, []).append(u)
+        buckets.setdefault(mask | 1 << u, []).append(u)
     groups = []
-    for u in range(n):
-        if taken >> u & 1:
-            continue
-        grp = [u]
-        members = 1 << u
-        for w in range(u + 1, n):
-            if not taken >> w & 1 and partners[w] & members == members:
-                grp.append(w)
-                members |= 1 << w
-        taken |= members
-        groups.append(tuple(grp))
+    for u, mask in enumerate(nbr):
+        grp = buckets[mask]
+        if len(grp) == 1:
+            grp = buckets[mask | 1 << u]
+        if grp[0] == u:
+            groups.append(tuple(grp))
+    pairs = sorted(pair for grp in groups if len(grp) > 1 for pair in combinations(grp, 2))
     return TwinPartition(tuple(pairs), tuple(groups))
 
 

@@ -23,9 +23,18 @@ at strength 0 or, for bdim and the enumerator, fails the counting
 condition |supp| + prod(f + 1) >= n. Neither kind of vector can resolve;
 the kernel cuts a subtree only when every vector in it is of one of
 those kinds, and never examines them. `candidates_examined` counts the
-candidates checked in lexicographic order, level after level, up to and
+candidates in lexicographic order, level after level, up to and
 including the first resolving one, so it does not depend on how the
 search is implemented.
+
+The kernel also skips a subtree whose codes have too few classes for
+its remaining cost to make them all distinct, the counting argument of
+the broadcast lower bound applied at each node (`_class_cuts`). Its
+candidates cannot resolve, but they are candidates: the kernel counts
+them, by a memoised walk of the same enumeration that never builds a
+code, instead of checking them. `candidates_examined` is therefore
+unchanged, and `candidates_checked` says how many had their codes
+compared.
 
 Order-1 graphs take value 1 by convention for all parameters.
 """
@@ -40,6 +49,7 @@ from typing import Iterable, Optional, Sequence, Union
 from .graphs import (
     DistanceMatrix,
     Graph,
+    MetricProfile,
     all_pairs_distances,
     build_graph,
     metric_profile,
@@ -58,6 +68,9 @@ class SolverResult:
     witness: Union[tuple[int, ...], Broadcast]
     candidates_examined: int
     lower_bound_used: int
+    # The candidates whose codes were compared; the rest of those examined
+    # were counted in subtrees the class-count cut skipped.
+    candidates_checked: int
 
 
 @dataclass(frozen=True)
@@ -66,6 +79,101 @@ class EnumerationResult:
 
     optimal_cost: int
     broadcasts: tuple[tuple[int, ...], ...]
+
+
+def _class_cuts(rows, n: int, upto: int) -> list[int]:
+    """Return cut[r] for r <= upto: a node with remaining cost r >= 2 whose
+    codes fall into fewer than cut[r] classes has no resolving vector below
+    it (cut[0] = cut[1] = 0, as such nodes are not checked). A cut of at
+    most 2 never applies: below the root every node has a support vertex,
+    whose code alone has a 0, so its codes fall into at least 2 classes.
+
+    Refining codes by a row whose value x is shared by m vertices adds at
+    most n - m classes, since each class gains at most one class per member
+    whose entry is not x; here x = max(row). So rows of total strength r
+    add at most the best split of r over strengths, each strength counted
+    at its largest row gain.
+    """
+    top = 0  # the largest strength-1 row gain
+    for row in rows[1]:
+        gain = n - row.count(max(row))
+        if gain > top:
+            top = gain
+            if 2 * top >= n - 2:
+                # Every cut is at most 2.
+                return [0] * (upto + 1)
+    best = [r * top for r in range(upto + 1)]  # best[r]: most classes cost r adds
+    for v in range(2, min(upto, len(rows) - 1) + 1):
+        gain = n - min(row.count(max(row)) for row in rows[v] if row is not None)
+        for r in range(v, upto + 1):
+            if gain + best[r - v] > best[r]:
+                best[r] = gain + best[r - v]
+    return [0, 0] + [n - b for b in best[2:]]
+
+
+def _candidate_counter(rows, caps: Sequence[int], after: list[int], masks: list[int], need: int):
+    """Return count_below(last, rem, supp, weight, zeros), the number of
+    candidates that `extend` in the `_search` with these arguments examines
+    below that node when it cuts nothing on classes.
+
+    It repeats the walk of `extend` without codes, memoised on all the walk
+    reads: |supp| and the product only matter up to `need`, and `zeros`
+    only on twin group members.
+    """
+    n = len(caps)
+    members = sum(masks)
+    top = 1 << n
+    memo: dict[tuple[int, int, int, int, int], int] = {}
+
+    def count_below(last: int, rem: int, supp: int, weight: int, zeros: int) -> int:
+        key = (last, rem, min(supp, need), min(weight, need), zeros & members)
+        total = memo.get(key)
+        if total is not None:
+            return total
+        supp += 1
+        hi = n
+        owed = 0
+        owing = 0
+        still = 0
+        skipped = 0
+        if masks:
+            above = top - (1 << (last + 1))
+            for m in masks:
+                t = (zeros | above) & m
+                u = t & (t - 1)
+                if u:
+                    p = (u & -u).bit_length()
+                    if p < hi:
+                        hi = p
+                    owed += t.bit_count() - 1
+                    owing |= t
+        zs = range(last + 1, hi)
+        total = 0
+        if rem == 1:
+            if supp + 2 * weight >= need:
+                total = sum(owed <= owing >> z & 1 for z in zs)
+        else:
+            ends = rem < len(rows) and supp + weight * (rem + 1) >= need
+            for z in zs:
+                cap = caps[z]
+                lo = rem - after[z]
+                if lo > cap:
+                    continue
+                if masks:
+                    still = owed - (owing >> z & 1)
+                    skipped = zeros | ((1 << z) - (1 << (last + 1)))
+                for v in range(lo if lo > 1 else 1, cap + 1 if cap < rem else rem):
+                    left = rem - v
+                    w = weight * (v + 1)
+                    if still > left or supp + left + (w << left) < need:
+                        break
+                    total += count_below(z, left, supp, w, skipped)
+                if ends and cap >= rem and not still:
+                    total += 1
+        memo[key] = total
+        return total
+
+    return count_below
 
 
 def _search(
@@ -77,7 +185,7 @@ def _search(
     groups,
     descending: bool,
     collect: bool = False,
-) -> tuple[Optional[int], int, list[tuple[tuple[int, int], ...]]]:
+) -> tuple[Optional[int], int, int, list[tuple[tuple[int, int], ...]]]:
     """Scan strength vectors level by level, each cost of `levels` in turn
     and lexicographic order within a cost, for ones whose codes are all
     distinct; stop after the first level that has one.
@@ -93,11 +201,13 @@ def _search(
 
     A vector is a candidate unless it leaves two members of one group of
     `groups` at strength 0, or it fails `|supp| + prod(f + 1) >= need`.
-    Only candidates are counted and checked, and a subtree is cut only when
-    none of its vectors can be a candidate. Returns the cost reached (None
-    if the levels ran out), the number of candidates examined, and the
-    resolving vectors at that cost as (vertex, strength) pairs: the first
-    one, or with `collect` all of them.
+    A subtree is cut only when none of its vectors can be a candidate.
+    Below a node whose codes have too few classes for its remaining cost to
+    finish (`_class_cuts`) no vector resolves: the search skips it and
+    counts its candidates without checking them. Returns the cost reached
+    (None if the levels ran out), the number of candidates examined, how
+    many of those were checked, and the resolving vectors at that cost as
+    (vertex, strength) pairs: the first one, or with `collect` all of them.
     """
     n = len(caps)
     # after[z] = sum(caps[z + 1:]), the most cost the vertices above z take.
@@ -105,7 +215,10 @@ def _search(
     ones = rows[1]
     masks = [sum(map((1).__lshift__, grp)) for grp in groups]
     top = 1 << n
-    examined = 0
+    checked = 0
+    counted = 0
+    cut = [0, 0]
+    count_below = None  # made at the first cut, by `_candidate_counter`
     path: list[tuple[int, int]] = []
     found: list[tuple[tuple[int, int], ...]] = []
 
@@ -117,7 +230,7 @@ def _search(
         the vertices up to `last` at strength 0 in the bitmask `zeros`.
         Returns True once the first resolving vector is found.
         """
-        nonlocal examined
+        nonlocal checked, counted, count_below
         supp += 1  # counting the next support vertex
         hi = n  # the next support vertex is below hi
         owed = 0  # support vertices still owed to twin groups
@@ -146,7 +259,7 @@ def _search(
             for z in zs:
                 if owed > owing >> z & 1:
                     continue
-                examined += 1
+                checked += 1
                 if len(set(map(add, codes, ones[z]))) == n:
                     found.append((*path, (z, 1)))
                     if not collect:
@@ -171,13 +284,20 @@ def _search(
                 # grows, and so does `left`.
                 if still > left or supp + left + (w << left) < need:
                     break
+                nxt = [c * base for c in map(add, codes, rows[v][z])]
+                # The candidates below a cut are counted, not checked.
+                if cut[left] > 2 and len(set(nxt)) < cut[left]:
+                    if count_below is None:
+                        count_below = _candidate_counter(rows, caps, after, masks, need)
+                    counted += count_below(z, left, supp, w, skipped)
+                    continue
                 path.append((z, v))
-                if extend([c * base for c in map(add, codes, rows[v][z])], z, left, supp, w, skipped):
+                if extend(nxt, z, left, supp, w, skipped):
                     return True
                 path.pop()
             if cap < rem or still or not ends:
                 continue
-            examined += 1
+            checked += 1
             if len(set(map(add, codes, ends[z]))) == n:
                 found.append((*path, (z, rem)))
                 if not collect:
@@ -187,10 +307,12 @@ def _search(
     start = [0] * n
     for total in levels:
         if total + (1 << total) >= need:
+            if len(cut) < total:
+                cut = _class_cuts(rows, n, total - 1)
             extend(start, -1, total, 0, 1, 0)
             if found:
-                return total, examined, found
-    return None, examined, found
+                return total, checked + counted, checked, found
+    return None, checked + counted, checked, found
 
 
 def _solve_by_subsets(g: Graph, rows, base: int, kind: str) -> SolverResult:
@@ -202,14 +324,14 @@ def _solve_by_subsets(g: Graph, rows, base: int, kind: str) -> SolverResult:
     if n == 0:
         raise ValueError("graph has no vertices")
     if n == 1:
-        return SolverResult(kind, 1, (0,), 0, 1)
+        return SolverResult(kind, 1, (0,), 0, 1, 0)
     twins = twin_partition(g)
     lb = max(1, twins.forced_minimum())
     groups = [grp for grp in twins.groups if len(grp) > 1]
-    size, examined, found = _search((None, rows), (1,) * n, range(lb, n), base, 0, groups, False)
+    size, examined, checked, found = _search((None, rows), (1,) * n, range(lb, n), base, 0, groups, False)
     if size is None:
         raise RuntimeError("subset search exhausted without a resolving set")
-    return SolverResult(kind, size, next(zip(*found[0])), examined, lb)
+    return SolverResult(kind, size, next(zip(*found[0])), examined, lb, checked)
 
 
 def solve_dim(g: Graph, d: Optional[DistanceMatrix] = None) -> SolverResult:
@@ -228,17 +350,20 @@ def solve_dim_k(g: Graph, k: int, d: Optional[DistanceMatrix] = None) -> SolverR
     """Compute the distance-k dimension (codes truncated at k + 1)."""
     if k <= 0:
         raise ValueError("truncation parameter k must be positive")
-    if g.n <= 1:
-        return _solve_by_subsets(g, (), 0, "dim_k")
-    if d is None:
-        d = all_pairs_distances(g)
-    return _solve_by_subsets(g, _truncated_rows(d, k), max(g.n, k + 2), "dim_k")
+    return _solve_truncated(g, k, d, "dim_k")
 
 
 def solve_adim(g: Graph, d: Optional[DistanceMatrix] = None) -> SolverResult:
     """Compute the adjacency dimension (the k = 1 case)."""
-    res = solve_dim_k(g, 1, d)
-    return SolverResult("adim", res.value, res.witness, res.candidates_examined, res.lower_bound_used)
+    return _solve_truncated(g, 1, d, "adim")
+
+
+def _solve_truncated(g: Graph, k: int, d: Optional[DistanceMatrix], kind: str) -> SolverResult:
+    if g.n <= 1:
+        return _solve_by_subsets(g, (), 0, kind)
+    if d is None:
+        d = all_pairs_distances(g)
+    return _solve_by_subsets(g, _truncated_rows(d, k), max(g.n, k + 2), kind)
 
 
 def broadcast_value_caps(g: Graph, d: Optional[DistanceMatrix] = None) -> tuple[int, ...]:
@@ -254,12 +379,13 @@ def broadcast_value_caps(g: Graph, d: Optional[DistanceMatrix] = None) -> tuple[
     """
     if d is None:
         d = all_pairs_distances(g)
-    prof = metric_profile(g, d)
-    caps = []
-    for v in range(g.n):
-        ecc = prof.finite_eccentricities[v]
-        caps.append(max(1, ecc - 1) if prof.connected else max(1, ecc))
-    return tuple(caps)
+    return _profile_caps(metric_profile(g, d))
+
+
+def _profile_caps(prof: MetricProfile) -> tuple[int, ...]:
+    """The caps of `broadcast_value_caps`, from the graph's metric profile."""
+    drop = 1 if prof.connected else 0
+    return tuple(max(1, ecc - drop) for ecc in prof.finite_eccentricities)
 
 
 def _counting_lower_bound(n: int) -> int:
@@ -298,11 +424,11 @@ def solve_bdim(g: Graph, d: Optional[DistanceMatrix] = None) -> SolverResult:
     if n == 0:
         raise ValueError("graph has no vertices")
     if n == 1:
-        return SolverResult("bdim", 1, Broadcast((1,)), 0, 1)
+        return SolverResult("bdim", 1, Broadcast((1,)), 0, 1, 0)
     if d is None:
         d = all_pairs_distances(g)
     prof = metric_profile(g, d)
-    caps = broadcast_value_caps(g, d)
+    caps = _profile_caps(prof)
     twins = twin_partition(g)
     groups = [grp for grp in twins.groups if len(grp) > 1]
     lb = max(
@@ -316,8 +442,8 @@ def solve_bdim(g: Graph, d: Optional[DistanceMatrix] = None) -> SolverResult:
         [truncated_row(drow, i, n) if i <= cap else None for drow, cap in zip(d.dist, caps)]
         for i in range(1, max(caps) + 1)
     ]
-    cost, examined, found = _search(rows, caps, count(lb), n + 1, n, groups, True)
-    return SolverResult("bdim", cost, Broadcast(_vector(n, found[0])), examined, lb)
+    cost, examined, checked, found = _search(rows, caps, count(lb), n + 1, n, groups, True)
+    return SolverResult("bdim", cost, Broadcast(_vector(n, found[0])), examined, lb, checked)
 
 
 def enumerate_min_broadcasts(g: Graph, d: Optional[DistanceMatrix] = None) -> EnumerationResult:
@@ -337,7 +463,7 @@ def enumerate_min_broadcasts(g: Graph, d: Optional[DistanceMatrix] = None) -> En
     rows = [None]
     for s in count(1):
         rows.append([truncated_row(drow, s, n) for drow in d.dist])
-        _, _, found = _search(rows, (s,) * n, (s,), max(n, s + 2), n, groups, True, collect=True)
+        *_, found = _search(rows, (s,) * n, (s,), max(n, s + 2), n, groups, True, collect=True)
         if found:
             return EnumerationResult(s, tuple(_vector(n, sup) for sup in found))
 
@@ -445,23 +571,27 @@ def delete_edge(g: Graph, e: tuple[int, int]) -> Graph:
     return build_graph(g.n, edges)
 
 
-def revalidate(g: Graph, result: SolverResult, k: Optional[int] = None) -> bool:
-    """Re-check a solver witness through the resolution predicates."""
+def revalidate(
+    g: Graph, result: SolverResult, k: Optional[int] = None, d: Optional[DistanceMatrix] = None
+) -> bool:
+    """Re-check a solver witness through the resolution predicates, on the
+    distance matrix `d` if given."""
     from .resolution import is_adjacency_resolving_set
 
     if g.n == 1:
         return result.value == 1
     if result.kind == "dim":
-        return bool(is_resolving_set(g, result.witness))
+        return bool(is_resolving_set(g, result.witness, d))
     if result.kind == "adim":
-        return bool(is_adjacency_resolving_set(g, result.witness))
+        return bool(is_adjacency_resolving_set(g, result.witness, d))
     if result.kind == "dim_k":
         if k is None:
             raise ValueError("dim_k revalidation needs k")
-        d = all_pairs_distances(g)
+        if d is None:
+            d = all_pairs_distances(g)
         rows = _truncated_rows(d, k)
         codes = set(zip(*(rows[z] for z in result.witness)))
         return len(codes) == g.n
     if result.kind == "bdim":
-        return bool(is_resolving_broadcast(g, result.witness))
+        return bool(is_resolving_broadcast(g, result.witness, d))
     raise ValueError(f"unknown result kind {result.kind!r}")

@@ -1,5 +1,7 @@
 """The exhaustive scans the solvers used before the incremental search
-kernel, kept verbatim as a test-only oracle.
+kernel, kept verbatim as a test-only oracle. The one edit: results now
+also record the candidates checked, which for these scans are all of the
+candidates examined.
 
 `tests/test_kernel_equivalence.py` checks that the kernel-backed solvers
 return the same value, witness, candidate count and starting bound as
@@ -39,7 +41,7 @@ def _solve_by_subsets(g: Graph, rows, kind: str) -> SolverResult:
     if n == 0:
         raise ValueError("graph has no vertices")
     if n == 1:
-        return SolverResult(kind, 1, (0,), 0, 1)
+        return SolverResult(kind, 1, (0,), 0, 1, 0)
     twins = twin_partition(g)
     lb = max(1, twins.forced_minimum())
     groups = [set(grp) for grp in twins.groups if len(grp) > 1]
@@ -52,7 +54,7 @@ def _solve_by_subsets(g: Graph, rows, kind: str) -> SolverResult:
             examined += 1
             codes = set(zip(*(rows[z] for z in subset)))
             if len(codes) == n:
-                return SolverResult(kind, size, subset, examined, lb)
+                return SolverResult(kind, size, subset, examined, lb, examined)
     raise RuntimeError("subset search exhausted without a resolving set")
 
 
@@ -100,7 +102,7 @@ def solve_bdim(g: Graph, d: Optional[DistanceMatrix] = None) -> SolverResult:
     if n == 0:
         raise ValueError("graph has no vertices")
     if n == 1:
-        return SolverResult("bdim", 1, Broadcast((1,)), 0, 1)
+        return SolverResult("bdim", 1, Broadcast((1,)), 0, 1, 0)
     if d is None:
         d = all_pairs_distances(g)
     prof = metric_profile(g, d)
@@ -132,7 +134,7 @@ def solve_bdim(g: Graph, d: Optional[DistanceMatrix] = None) -> SolverResult:
             examined += 1
             codes = set(zip(*(rows_by_strength[z][vec[z]] for z in supp)))
             if len(codes) == n:
-                return SolverResult("bdim", s, Broadcast(vec), examined, lb)
+                return SolverResult("bdim", s, Broadcast(vec), examined, lb, examined)
 
 
 def enumerate_min_broadcasts(g: Graph, d: Optional[DistanceMatrix] = None) -> EnumerationResult:

@@ -97,6 +97,28 @@ def test_solve_reads_stdin(monkeypatch, capsys):
     assert report.value == 1
 
 
+def test_solve_runs_bfs_once(monkeypatch, capsys):
+    import resolvedim
+
+    calls = []
+    bfs = resolvedim.graphs.all_pairs_distances
+
+    def counted(g):
+        calls.append(g.n)
+        return bfs(g)
+
+    # Every module of the package that binds the function gets the counter.
+    for name in ("cli", "formulas", "graphs", "resolution", "solvers", "verify"):
+        module = getattr(resolvedim, name)
+        if getattr(module, "all_pairs_distances", None) is bfs:
+            monkeypatch.setattr(module, "all_pairs_distances", counted)
+    monkeypatch.setattr("sys.stdin", io.StringIO(graphio.graph_to_edge_list(families.cycle(7))))
+    assert main(["dim", "-", "--format", "json"]) == 0
+    assert calls == [7]
+    stats = Report.from_json(capsys.readouterr().out).stats
+    assert stats["candidates_checked"] <= stats["candidates_examined"]
+
+
 def test_dimk_needs_k(tmp_path, capsys):
     path = _write_graph(tmp_path, families.path(6))
     assert main(["dimk", path]) == 2

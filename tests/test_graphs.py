@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
 from resolvedim import (
@@ -91,6 +93,30 @@ def test_twin_partition_adjacent_twins():
     g = families.complete(3)
     part = twin_partition(g)
     assert part.forced_minimum() == 2
+
+
+def test_twin_partition_matches_definition_up_to_order_6():
+    # Pairs by the definition N(u) - {w} = N(w) - {u}; groups greedily in
+    # ascending order, each vertex joining only if twin to every member.
+    count = 0
+    for n in range(1, 7):
+        slots = list(combinations(range(n), 2))
+        for mask in range(2 ** len(slots)):
+            g = build_graph(n, [slots[i] for i in range(len(slots)) if mask >> i & 1])
+            nbrs = [set(row) for row in g.adjacency]
+            twins = {(u, w) for u, w in slots if nbrs[u] - {w} == nbrs[w] - {u}}
+            groups = []
+            for w in range(n):
+                grp = next((grp for grp in groups if all((u, w) in twins for u in grp)), None)
+                if grp is None:
+                    groups.append([w])
+                else:
+                    grp.append(w)
+            part = twin_partition(g)
+            assert part.pairs == tuple(sorted(twins)), g.edges()
+            assert part.groups == tuple(map(tuple, groups)), g.edges()
+            count += 1
+    assert count == 33_867
 
 
 def test_metric_profile_cycle():

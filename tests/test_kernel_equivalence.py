@@ -2,7 +2,9 @@
 
 `seed_oracle` keeps the scans the solvers used before the incremental
 kernel. Every solver must return the same value, witness, candidate count
-and starting lower bound, and the enumerator the same broadcasts.
+and starting lower bound, and the enumerator the same broadcasts, also
+where the kernel skips subtrees by class count and counts their
+candidates without checking them.
 """
 
 from __future__ import annotations
@@ -78,3 +80,26 @@ def test_seeded_random_graphs_and_trees():
 def test_cycle_and_path_of_order_10():
     _assert_same_solves(families.cycle(10))
     _assert_same_solves(families.path(10))
+
+
+def test_class_count_cut_counts_what_it_skips():
+    # Cycles and paths where the class-count cut skips subtrees: the count
+    # of what it skipped must keep every field equal to the oracle's.
+    c12, c13, c14, c16 = (families.cycle(n) for n in (12, 13, 14, 16))
+    p12, p14 = families.path(12), families.path(14)
+    cases = [(solve_bdim, seed_oracle.solve_bdim, g, True) for g in (c12, c13, p12)]
+    adim, adim_oracle = solve_adim, lambda g, d: seed_oracle.solve_dim_k(g, 1, d)
+    cases += [(adim, adim_oracle, g, True) for g in (c12, c14, p12, p14)]
+    dim2, dim2_oracle = (lambda g, d: solve_dim_k(g, 2, d)), (lambda g, d: seed_oracle.solve_dim_k(g, 2, d))
+    # On C12 and C14 no node has few enough classes to cut; on C16 some do.
+    cases += [(dim2, dim2_oracle, g, g.n == 16) for g in (c12, c14, c16)]
+    for solve, oracle, g, cuts in cases:
+        d = all_pairs_distances(g)
+        new = solve(g, d)
+        assert _fields(new) == _fields(oracle(g, d)), f"{new.kind} on n={g.n} edges={g.edges()}"
+        assert (new.candidates_checked < new.candidates_examined) == cuts
+    # The enumerator cuts on C10 and P10 too, and must still list every
+    # minimum broadcast.
+    for g in (families.cycle(10), families.path(10)):
+        d = all_pairs_distances(g)
+        assert enumerate_min_broadcasts(g, d) == seed_oracle.enumerate_min_broadcasts(g, d)

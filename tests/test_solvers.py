@@ -186,6 +186,25 @@ def test_solver_results_revalidate():
         for res in (solve_dim(g, d), solve_adim(g, d), solve_bdim(g, d)):
             assert revalidate(g, res)
         assert revalidate(g, solve_dim_k(g, 2, d), k=2)
+        assert revalidate(g, solve_dim_k(g, 2, d), k=2, d=d)
+        assert all(revalidate(g, res, d=d) for res in (solve_dim(g, d), solve_adim(g, d), solve_bdim(g, d)))
+
+
+def test_bdim_builds_one_metric_profile(monkeypatch):
+    from resolvedim import solvers
+
+    calls = []
+    profile = solvers.metric_profile
+
+    def counted(g, d=None):
+        calls.append(g.n)
+        return profile(g, d)
+
+    monkeypatch.setattr(solvers, "metric_profile", counted)
+    for g in (families.cycle(8), disjoint_union(families.path(3), families.path(4))):
+        calls.clear()
+        solve_bdim(g)
+        assert calls == [g.n]
 
 
 def test_enumerate_path2_and_star():
