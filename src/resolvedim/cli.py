@@ -104,8 +104,7 @@ def _coerce(raw: str):
 
 
 def _bounds_payload(g: Graph, parameter: str, value: int, d) -> list:
-    keyword = {"dim": "dim", "adim": "adim", "bdim": "bdim"}.get(parameter)
-    kwargs = {keyword: value} if keyword else {}
+    kwargs = {parameter: value} if parameter in formulas.KINDS else {}
     records = formulas.bound_report(g, d=d, **kwargs)
     return [
         {
@@ -152,7 +151,7 @@ def _solve_command(args: argparse.Namespace) -> int:
         value=res.value,
         witness=witness,
         stats=stats,
-        bounds=_bounds_payload(g, args.command if args.command != "dimk" else "dimk", res.value, d),
+        bounds=_bounds_payload(g, args.command, res.value, d),
         timing_ms=elapsed,
     )
     if args.format == "json":

@@ -157,54 +157,34 @@ def twin_partition(g: Graph) -> TwinPartition:
 
 @dataclass(frozen=True)
 class MetricProfile:
-    """Eccentricities, diameter, and component structure of a graph.
+    """Eccentricities, diameter, and connectivity of a graph.
 
-    `eccentricities` and `diameter` use the sentinel n for infinity;
-    the `finite_*` fields ignore unreachable pairs.
+    `diameter` is the sentinel n when g is disconnected; the `finite_*`
+    fields ignore unreachable pairs.
     """
 
     n: int
-    eccentricities: tuple[int, ...]
     finite_eccentricities: tuple[int, ...]
     diameter: int
     finite_diameter: int
     connected: bool
-    component_ids: tuple[int, ...]
-    component_count: int
 
 
 def metric_profile(g: Graph, d: Optional[DistanceMatrix] = None) -> MetricProfile:
-    """Summarize distances: eccentricities, diameter, components."""
+    """Summarize distances: finite eccentricities, diameter, connectivity."""
     if d is None:
         d = all_pairs_distances(g)
     n = g.n
-    comp = [-1] * n
-    cid = 0
-    for s in range(n):
-        if comp[s] != -1:
-            continue
-        for v in range(n):
-            if d.dist[s][v] < n:
-                comp[v] = cid
-        cid += 1
-    eccs = []
-    fin_eccs = []
-    for v in range(n):
-        row = d.dist[v]
-        eccs.append(max(row) if n else 0)
-        fin_eccs.append(max((x for x in row if x < n), default=0))
-    connected = cid <= 1
-    diameter = max(eccs, default=0)
-    finite_diameter = max(fin_eccs, default=0)
+    # g is connected iff vertex 0 reaches every vertex (n = 0 counts).
+    connected = n == 0 or max(d.dist[0]) < n
+    eccs = tuple(max((x for x in row if x < n), default=0) for row in d.dist)
+    finite_diameter = max(eccs, default=0)
     return MetricProfile(
         n=n,
-        eccentricities=tuple(eccs),
-        finite_eccentricities=tuple(fin_eccs),
-        diameter=diameter,
+        finite_eccentricities=eccs,
+        diameter=finite_diameter if connected else n,
         finite_diameter=finite_diameter,
         connected=connected,
-        component_ids=tuple(comp),
-        component_count=cid,
     )
 
 
@@ -265,9 +245,10 @@ def tree_profile(g: Graph) -> TreeProfile:
     """Compute leaves, major vertices, exterior majors with legs, and the
     spider descriptor (present iff exactly one major vertex exists)."""
     n = g.n
+    if g.m != n - 1:
+        return TreeProfile(is_tree=False)
     d = all_pairs_distances(g)
-    prof = metric_profile(g, d)
-    if not prof.connected or g.m != n - 1:
+    if not metric_profile(g, d).connected:
         return TreeProfile(is_tree=False)
     leaves = tuple(v for v in range(n) if g.degree(v) == 1)
     majors = tuple(v for v in range(n) if g.degree(v) >= 3)

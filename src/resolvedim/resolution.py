@@ -3,15 +3,18 @@ broadcast tells every pair of vertices apart.
 
 A broadcast assigns each vertex a nonnegative strength f(v); a vertex z
 with f(z) = i contributes the entry min(d(v, z), i + 1) to every code,
-with unreachable pairs pinned at i + 1. Metric codes keep raw distances
-(sentinel included) and adjacency codes are the strength-1 special case.
+with unreachable pairs pinned at i + 1. A landmark set is a broadcast
+of one uniform strength, and every check builds its codes in one place,
+`_verdict`: metric codes put each landmark at strength n - 1 (truncating
+at n leaves a row, sentinel included, as it is) and adjacency codes at
+strength 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
-from typing import Optional, Sequence
+from typing import Iterable, Optional
 
 from .graphs import (
     DistanceMatrix,
@@ -77,27 +80,35 @@ def broadcast_code(g: Graph, d: DistanceMatrix, f, v: int) -> tuple[int, ...]:
     return tuple(truncated_distance(d, z, v, x) for z, x in enumerate(vals) if x)
 
 
-def _code_table(g: Graph, d: DistanceMatrix, vals: Sequence[int]) -> list[tuple[int, ...]]:
-    return list(zip(*(truncated_row(d.dist[z], x, g.n) for z, x in enumerate(vals) if x)))
+def _first_collision(codes: Iterable[tuple[int, ...]]) -> Optional[tuple[int, int]]:
+    """Return the lex-first pair of vertices with equal codes, or None.
 
-
-def _first_collision(codes: Sequence[tuple[int, ...]]) -> Optional[tuple[int, int]]:
-    groups: dict[tuple[int, ...], list[int]] = {}
+    Scanning upwards, the first repeat of a code pairs it with its first
+    holder, and a later pair replaces it only with a smaller first holder.
+    """
+    first: dict[tuple[int, ...], int] = {}
+    pair = None
     for v, c in enumerate(codes):
-        groups.setdefault(c, []).append(v)
-    clashes = [grp for grp in groups.values() if len(grp) > 1]
-    if not clashes:
-        return None
-    return min((grp[0], grp[1]) for grp in clashes)
+        u = first.setdefault(c, v)
+        if u < v and (pair is None or u < pair[0]):
+            pair = (u, v)
+    return pair
+
+
+def _verdict(g: Graph, d: Optional[DistanceMatrix], support: Iterable[tuple[int, int]]) -> Verdict:
+    """Decide whether the (landmark, strength) pairs give every vertex a
+    distinct code, each landmark contributing its row truncated at its
+    strength + 1."""
+    if d is None:
+        d = all_pairs_distances(g)
+    pair = _first_collision(zip(*(truncated_row(d.dist[z], x, g.n) for z, x in support)))
+    return Verdict(pair is None, pair)
 
 
 def is_resolving_broadcast(g: Graph, f, d: Optional[DistanceMatrix] = None) -> Verdict:
     """Decide whether the broadcast gives every vertex a distinct code."""
     vals = _check_broadcast(g, f)
-    if d is None:
-        d = all_pairs_distances(g)
-    pair = _first_collision(_code_table(g, d, vals))
-    return Verdict(pair is None, pair)
+    return _verdict(g, d, ((z, x) for z, x in enumerate(vals) if x))
 
 
 def _check_set(g: Graph, s) -> tuple[int, ...]:
@@ -112,23 +123,16 @@ def _check_set(g: Graph, s) -> tuple[int, ...]:
 
 def is_resolving_set(g: Graph, s, d: Optional[DistanceMatrix] = None) -> Verdict:
     """Decide whether the vertex set resolves g under full metric codes
-    (unreachable entries keep the sentinel)."""
-    vs = _check_set(g, s)
-    if d is None:
-        d = all_pairs_distances(g)
-    codes = list(zip(*(d.dist[z] for z in vs)))
-    pair = _first_collision(codes)
-    return Verdict(pair is None, pair)
+    (unreachable entries keep the sentinel): every landmark at strength
+    n - 1, whose truncation at n leaves a row as it is."""
+    strength = max(1, g.n - 1)
+    return _verdict(g, d, ((z, strength) for z in _check_set(g, s)))
 
 
 def is_adjacency_resolving_set(g: Graph, s, d: Optional[DistanceMatrix] = None) -> Verdict:
-    """Decide whether the vertex set resolves g under 0/1/2 adjacency codes."""
-    vs = _check_set(g, s)
-    if d is None:
-        d = all_pairs_distances(g)
-    codes = list(zip(*(truncated_row(d.dist[z], 1, g.n) for z in vs)))
-    pair = _first_collision(codes)
-    return Verdict(pair is None, pair)
+    """Decide whether the vertex set resolves g under 0/1/2 adjacency codes:
+    every landmark at strength 1."""
+    return _verdict(g, d, ((z, 1) for z in _check_set(g, s)))
 
 
 def counting_feasible(g: Graph, f) -> bool:

@@ -4,9 +4,12 @@ enumeration of minimum broadcasts, and the path/cycle flattening rewrite.
 All four parameters ask for the cheapest strength vector f whose codes
 are all distinct, where a vertex z with f(z) = i > 0 contributes the row
 of its distances truncated at i + 1 (`truncated_row`). dim, dim_k and
-adim are the subset case: every strength is 1, and a landmark's row holds
-its distances for dim, truncated at k + 1 for dim_k and at 2 for adim.
-bdim lets strengths range up to `broadcast_value_caps`.
+adim are the subset case: a landmark's row holds its distances truncated
+at k + 1 for dim_k, at 2 for adim (k = 1), and dim is the k = n - 1 case,
+whose truncation at n leaves every row as it is. bdim lets strengths
+range up to `broadcast_value_caps`. `revalidate` checks every witness the
+same way, as a strength vector: n - 1, 1 or k on each landmark of a set,
+or the broadcast itself.
 
 One search kernel, `_search`, serves them all. It walks the vectors of
 one cost at a time, depth first, in lexicographic order: sorted-subset
@@ -56,7 +59,7 @@ from .graphs import (
     truncated_row,
     twin_partition,
 )
-from .resolution import Broadcast, is_resolving_broadcast, is_resolving_set
+from .resolution import Broadcast, is_resolving_broadcast
 
 
 @dataclass(frozen=True)
@@ -335,15 +338,9 @@ def _solve_by_subsets(g: Graph, rows, base: int, kind: str) -> SolverResult:
 
 
 def solve_dim(g: Graph, d: Optional[DistanceMatrix] = None) -> SolverResult:
-    """Compute the metric dimension with a lex-least minimum resolving set."""
-    if g.n > 1 and d is None:
-        d = all_pairs_distances(g)
-    rows = d.dist if g.n > 1 else ()
-    return _solve_by_subsets(g, rows, g.n + 1, "dim")
-
-
-def _truncated_rows(d: DistanceMatrix, k: int) -> list[tuple[int, ...]]:
-    return [truncated_row(row, k, d.n) for row in d.dist]
+    """Compute the metric dimension with a lex-least minimum resolving set
+    (the k = n - 1 case)."""
+    return _solve_truncated(g, g.n - 1, d, "dim")
 
 
 def solve_dim_k(g: Graph, k: int, d: Optional[DistanceMatrix] = None) -> SolverResult:
@@ -359,11 +356,15 @@ def solve_adim(g: Graph, d: Optional[DistanceMatrix] = None) -> SolverResult:
 
 
 def _solve_truncated(g: Graph, k: int, d: Optional[DistanceMatrix], kind: str) -> SolverResult:
-    if g.n <= 1:
+    n = g.n
+    if n <= 1:
         return _solve_by_subsets(g, (), 0, kind)
     if d is None:
         d = all_pairs_distances(g)
-    return _solve_by_subsets(g, _truncated_rows(d, k), max(g.n, k + 2), kind)
+    # Truncating at k + 1 >= n only moves the sentinel n to k + 1, still
+    # above every distance, so the raw rows give the same code classes.
+    rows = d.dist if k + 1 >= n else [truncated_row(row, k, n) for row in d.dist]
+    return _solve_by_subsets(g, rows, max(n, k + 2), kind)
 
 
 def broadcast_value_caps(g: Graph, d: Optional[DistanceMatrix] = None) -> tuple[int, ...]:
@@ -407,6 +408,8 @@ def _vector(n: int, support) -> tuple[int, ...]:
     """Spell out a vector given as (vertex, strength) pairs."""
     vec = [0] * n
     for z, v in support:
+        if not 0 <= z < n:
+            raise ValueError(f"landmark {z} out of range")
         vec[z] = v
     return tuple(vec)
 
@@ -574,24 +577,18 @@ def delete_edge(g: Graph, e: tuple[int, int]) -> Graph:
 def revalidate(
     g: Graph, result: SolverResult, k: Optional[int] = None, d: Optional[DistanceMatrix] = None
 ) -> bool:
-    """Re-check a solver witness through the resolution predicates, on the
-    distance matrix `d` if given."""
-    from .resolution import is_adjacency_resolving_set
-
+    """Re-check a solver witness as a strength vector, on the distance
+    matrix `d` if given: a set witness puts each landmark at n - 1 (dim),
+    1 (adim) or k (dim_k), and a bdim witness is checked as it is."""
     if g.n == 1:
         return result.value == 1
-    if result.kind == "dim":
-        return bool(is_resolving_set(g, result.witness, d))
-    if result.kind == "adim":
-        return bool(is_adjacency_resolving_set(g, result.witness, d))
-    if result.kind == "dim_k":
-        if k is None:
-            raise ValueError("dim_k revalidation needs k")
-        if d is None:
-            d = all_pairs_distances(g)
-        rows = _truncated_rows(d, k)
-        codes = set(zip(*(rows[z] for z in result.witness)))
-        return len(codes) == g.n
+    if result.kind == "dim_k" and k is None:
+        raise ValueError("dim_k revalidation needs k")
+    strength = {"dim": g.n - 1, "adim": 1, "dim_k": k}
     if result.kind == "bdim":
-        return bool(is_resolving_broadcast(g, result.witness, d))
-    raise ValueError(f"unknown result kind {result.kind!r}")
+        f = result.witness
+    elif result.kind in strength:
+        f = _vector(g.n, ((z, strength[result.kind]) for z in result.witness))
+    else:
+        raise ValueError(f"unknown result kind {result.kind!r}")
+    return bool(is_resolving_broadcast(g, f, d))

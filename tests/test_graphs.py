@@ -123,17 +123,16 @@ def test_metric_profile_cycle():
     prof = metric_profile(families.cycle(6))
     assert prof.connected
     assert prof.diameter == 3
-    assert prof.eccentricities == (3,) * 6
-    assert prof.component_count == 1
+    assert prof.finite_eccentricities == (3,) * 6
 
 
 def test_metric_profile_disconnected():
     g = disjoint_union(families.path(3), families.path(2))
     prof = metric_profile(g)
     assert not prof.connected
-    assert prof.component_count == 2
+    assert prof.diameter == 5
     assert prof.finite_diameter == 2
-    assert prof.component_ids == (0, 0, 0, 1, 1)
+    assert prof.finite_eccentricities == (2, 1, 2, 1, 1)
 
 
 def test_delta_prime_values():
@@ -173,6 +172,19 @@ def test_tree_profile_two_majors():
 def test_tree_profile_rejects_cycle():
     assert not tree_profile(families.cycle(4)).is_tree
     assert not tree_profile(disjoint_union(families.path(2), families.path(2))).is_tree
+
+
+def test_tree_profile_checks_edge_count_first(monkeypatch):
+    from resolvedim import graphs
+
+    calls = []
+    bfs = graphs.all_pairs_distances
+    monkeypatch.setattr(graphs, "all_pairs_distances", lambda g: calls.append(g) or bfs(g))
+    assert not tree_profile(families.cycle(5)).is_tree
+    assert calls == []
+    # n - 1 edges but a triangle and an isolated vertex: BFS decides.
+    assert not tree_profile(disjoint_union(families.cycle(3), families.path(1))).is_tree
+    assert len(calls) == 1
 
 
 def test_complement_involution():

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
 from resolvedim import (
     Broadcast,
+    SolverResult,
     all_pairs_distances,
+    build_graph,
     broadcast_code,
     counting_feasible,
     disjoint_union,
@@ -14,6 +18,7 @@ from resolvedim import (
     is_adjacency_resolving_set,
     is_resolving_broadcast,
     is_resolving_set,
+    revalidate,
 )
 
 
@@ -103,3 +108,40 @@ def test_counting_feasible():
     # support {0, 3}, strengths (2, 1): 2 + 6 >= 6
     assert counting_feasible(g, (2, 0, 0, 1, 0, 0))
     assert counting_feasible(g, Broadcast((1, 1, 0, 1, 0, 0)))
+
+
+def _first_tie(codes):
+    """The lex-first pair of vertices with equal codes, or None."""
+    return next(((u, v) for u, v in combinations(range(len(codes)), 2) if codes[u] == codes[v]), None)
+
+
+def test_set_checks_match_definitions_up_to_order_5():
+    # Every landmark subset of every labelled graph of order <= 5: both set
+    # predicates against codes built straight from the definitions (raw
+    # distances with the sentinel; 0/1/2 from the adjacency relation), and
+    # revalidate, which must reject each non-resolving subset as a dim, adim
+    # and dim_2 witness and take a resolving one as adim iff its 0/1/2
+    # codes differ.
+    count = 0
+    for n in range(1, 6):
+        slots = list(combinations(range(n), 2))
+        for mask in range(2 ** len(slots)):
+            g = build_graph(n, [slots[i] for i in range(len(slots)) if mask >> i & 1])
+            d = all_pairs_distances(g)
+            near = [[0 if z == v else 1 if g.has_edge(z, v) else 2 for v in range(n)] for z in range(n)]
+            for size in range(1, n + 1):
+                for s in combinations(range(n), size):
+                    metric = _first_tie([tuple(d.dist[z][v] for z in s) for v in range(n)])
+                    adjacency = _first_tie([tuple(near[z][v] for z in s) for v in range(n)])
+                    verdict = is_resolving_set(g, s, d)
+                    assert (verdict.resolving, verdict.unresolved_pair) == (metric is None, metric)
+                    verdict = is_adjacency_resolving_set(g, s, d)
+                    assert (verdict.resolving, verdict.unresolved_pair) == (adjacency is None, adjacency)
+                    if metric is not None:
+                        for kind, k in (("dim", None), ("adim", None), ("dim_k", 2)):
+                            assert not revalidate(g, SolverResult(kind, size, s, 0, 1, 0), k=k, d=d)
+                    elif n > 1:
+                        adim = SolverResult("adim", size, s, 0, 1, 0)
+                        assert revalidate(g, adim, d=d) == (adjacency is None)
+                    count += 1
+    assert count == 32_767

@@ -14,6 +14,7 @@ import pytest
 
 from resolvedim import (
     Broadcast,
+    SolverResult,
     all_pairs_distances,
     broadcast_value_caps,
     build_graph,
@@ -188,6 +189,18 @@ def test_solver_results_revalidate():
         assert revalidate(g, solve_dim_k(g, 2, d), k=2)
         assert revalidate(g, solve_dim_k(g, 2, d), k=2, d=d)
         assert all(revalidate(g, res, d=d) for res in (solve_dim(g, d), solve_adim(g, d), solve_bdim(g, d)))
+
+
+def test_revalidate_rejects_malformed_requests():
+    g = families.path(6)
+    res = solve_dim_k(g, 2)
+    with pytest.raises(ValueError):
+        revalidate(g, res)  # dim_k needs its k
+    with pytest.raises(ValueError):
+        revalidate(g, SolverResult("tdim", 1, (0,), 0, 1, 0))
+    for landmark in (-1, 6):
+        with pytest.raises(ValueError):
+            revalidate(g, SolverResult("dim", 1, (landmark,), 0, 1, 0))
 
 
 def test_bdim_builds_one_metric_profile(monkeypatch):
