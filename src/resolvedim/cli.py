@@ -2,8 +2,9 @@
 generate families, run the verification suites, and benchmark.
 
 Exit codes: 0 success, 2 usage error (bad flags, unknown family or
-suite), 3 input error (unreadable or malformed graph, bad parameter
-values), 4 verification failure (a suite or a witness check failed).
+suite), 3 input error (unreadable or malformed graph, a graph of order
+above `graphio.MAX_ORDER` = 2000, bad parameter values), 4 verification
+failure (a suite or a witness check failed).
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ def _coerce(raw: str):
     try:
         return float(raw)
     except ValueError:
-        return raw
+        raise ValueError(f"parameter value {raw!r} is not a number") from None
 
 
 def _bounds_payload(g: Graph, parameter: str, value: int, d) -> list:

@@ -3,8 +3,9 @@ constructions, and seeded random graphs/trees.
 
 Every builder fixes the vertex numbering it documents, so repeated calls
 are bit-identical. `generate` dispatches a FamilySpec whose parameters
-are plain ints, floats, or int tuples; the two-graph combinator
-`bits_construction` stays a direct function.
+are plain ints or, for parts and dims, int tuples (random_graph's p may
+be a float); the two-graph combinator `bits_construction` stays a
+direct function.
 """
 
 from __future__ import annotations
@@ -347,8 +348,18 @@ FAMILIES: dict[str, tuple[tuple[str, ...], object]] = {
 }
 
 
+def is_int_param(name: str, value) -> bool:
+    """True when `value` suits the family or catalog parameter `name`: an
+    int, or for parts and dims also a tuple of ints. A bool is not taken
+    for an int."""
+    items = value if name in ("parts", "dims") and isinstance(value, tuple) else (value,)
+    return all(isinstance(x, int) and not isinstance(x, bool) for x in items)
+
+
 def generate(spec: FamilySpec) -> Graph:
-    """Build the graph a FamilySpec describes."""
+    """Build the graph a FamilySpec describes. Every parameter must be an
+    int, parts and dims may be tuples of ints, and random_graph's p may be
+    a float."""
     if spec.family not in FAMILIES:
         raise KeyError(f"unknown family {spec.family!r}")
     names, fn = FAMILIES[spec.family]
@@ -359,4 +370,9 @@ def generate(spec: FamilySpec) -> Graph:
     missing = [name for name in names if name not in params]
     if missing:
         raise ValueError(f"missing parameters for {spec.family}: {missing}")
+    for name in names:
+        value = params[name]
+        real = spec.family == "random_graph" and name == "p" and isinstance(value, float)
+        if not (real or is_int_param(name, value)):
+            raise ValueError(f"parameter {name} of {spec.family} takes integers, got {value!r}")
     return fn(*(params[name] for name in names))

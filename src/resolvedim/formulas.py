@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
+from .families import is_int_param
 from .graphs import (
     DistanceMatrix,
     Graph,
@@ -58,6 +59,8 @@ def _need(params: dict, *names: str) -> list:
     for name in names:
         if name not in params:
             raise ValueError(f"missing parameter {name!r}")
+        if not is_int_param(name, params[name]):
+            raise ValueError(f"parameter {name} takes integers, got {params[name]!r}")
         out.append(params[name])
     return out
 

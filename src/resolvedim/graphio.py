@@ -3,6 +3,7 @@
 Edge list: a header line "n m" followed by m lines "u v"; anything after
 '#' on a line is a comment. JSON: {"n": int, "edges": [[u, v], ...]}.
 The reader auto-detects the format from the first meaningful byte.
+Both formats reject an order above MAX_ORDER.
 """
 
 from __future__ import annotations
@@ -10,6 +11,10 @@ from __future__ import annotations
 import json
 
 from .graphs import Graph, build_graph
+
+# The largest order a parsed graph may have. Every solve builds the n x n
+# distance matrix, which holds 4M entries at this order.
+MAX_ORDER = 2000
 
 
 def parse_graph(text: str) -> Graph:
@@ -47,6 +52,7 @@ def _parse_edge_list(text: str) -> Graph:
             header = (a, b)
             if a < 0 or b < 0:
                 raise ValueError(f"line {lineno}: order and edge count must be nonnegative")
+            _check_order(a)
             expected = b
             continue
         edges.append((a, b))
@@ -70,6 +76,7 @@ def _parse_json(text: str) -> Graph:
     edges = obj["edges"]
     if not _is_int(n):
         raise ValueError('"n" must be an integer')
+    _check_order(n)
     if not isinstance(edges, list):
         raise ValueError('"edges" must be a list of pairs')
     pairs = []
@@ -78,6 +85,11 @@ def _parse_json(text: str) -> Graph:
             raise ValueError(f"edge {i} is not an integer pair")
         pairs.append((e[0], e[1]))
     return build_graph(n, pairs)
+
+
+def _check_order(n: int) -> None:
+    if n > MAX_ORDER:
+        raise ValueError(f"order {n} exceeds the limit of {MAX_ORDER} vertices")
 
 
 def _is_int(x) -> bool:

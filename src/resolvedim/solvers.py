@@ -34,10 +34,11 @@ The kernel also skips a subtree whose codes have too few classes for
 its remaining cost to make them all distinct, the counting argument of
 the broadcast lower bound applied at each node (`_class_cuts`). Its
 candidates cannot resolve, but they are candidates: the kernel counts
-them, by a memoised walk of the same enumeration that never builds a
-code, instead of checking them. `candidates_examined` is therefore
-unchanged, and `candidates_checked` says how many had their codes
-compared.
+them instead of checking them. The count comes from the same walk run
+in its counting mode, which builds no code, checks no leaf and memoises
+each count, so there is one walk of the enumeration to keep right.
+`candidates_examined` is therefore unchanged, and `candidates_checked`
+says how many had their codes compared.
 
 Order-1 graphs take value 1 by convention for all parameters.
 """
@@ -114,71 +115,6 @@ def _class_cuts(rows, n: int, upto: int) -> list[int]:
     return [0, 0] + [n - b for b in best[2:]]
 
 
-def _candidate_counter(rows, caps: Sequence[int], after: list[int], masks: list[int], need: int):
-    """Return count_below(last, rem, supp, weight, zeros), the number of
-    candidates that `extend` in the `_search` with these arguments examines
-    below that node when it cuts nothing on classes.
-
-    It repeats the walk of `extend` without codes, memoised on all the walk
-    reads: |supp| and the product only matter up to `need`, and `zeros`
-    only on twin group members.
-    """
-    n = len(caps)
-    members = sum(masks)
-    top = 1 << n
-    memo: dict[tuple[int, int, int, int, int], int] = {}
-
-    def count_below(last: int, rem: int, supp: int, weight: int, zeros: int) -> int:
-        key = (last, rem, min(supp, need), min(weight, need), zeros & members)
-        total = memo.get(key)
-        if total is not None:
-            return total
-        supp += 1
-        hi = n
-        owed = 0
-        owing = 0
-        still = 0
-        skipped = 0
-        if masks:
-            above = top - (1 << (last + 1))
-            for m in masks:
-                t = (zeros | above) & m
-                u = t & (t - 1)
-                if u:
-                    p = (u & -u).bit_length()
-                    if p < hi:
-                        hi = p
-                    owed += t.bit_count() - 1
-                    owing |= t
-        zs = range(last + 1, hi)
-        total = 0
-        if rem == 1:
-            if supp + 2 * weight >= need:
-                total = sum(owed <= owing >> z & 1 for z in zs)
-        else:
-            ends = rem < len(rows) and supp + weight * (rem + 1) >= need
-            for z in zs:
-                cap = caps[z]
-                lo = rem - after[z]
-                if lo > cap:
-                    continue
-                if masks:
-                    still = owed - (owing >> z & 1)
-                    skipped = zeros | ((1 << z) - (1 << (last + 1)))
-                for v in range(lo if lo > 1 else 1, cap + 1 if cap < rem else rem):
-                    left = rem - v
-                    w = weight * (v + 1)
-                    if still > left or supp + left + (w << left) < need:
-                        break
-                    total += count_below(z, left, supp, w, skipped)
-                if ends and cap >= rem and not still:
-                    total += 1
-        memo[key] = total
-        return total
-
-    return count_below
-
-
 def _search(
     rows,
     caps: Sequence[int],
@@ -203,37 +139,49 @@ def _search(
     order.
 
     A vector is a candidate unless it leaves two members of one group of
-    `groups` at strength 0, or it fails `|supp| + prod(f + 1) >= need`.
-    A subtree is cut only when none of its vectors can be a candidate.
-    Below a node whose codes have too few classes for its remaining cost to
-    finish (`_class_cuts`) no vector resolves: the search skips it and
-    counts its candidates without checking them. Returns the cost reached
-    (None if the levels ran out), the number of candidates examined, how
-    many of those were checked, and the resolving vectors at that cost as
-    (vertex, strength) pairs: the first one, or with `collect` all of them.
+    `groups` at strength 0, or it fails `|supp| + prod(f + 1) >= need`;
+    groups of one vertex constrain nothing. A subtree is cut only when none
+    of its vectors can be a candidate. Below a node whose codes have too
+    few classes for its remaining cost to finish (`_class_cuts`) no vector
+    resolves: the walk goes on there in counting mode, which counts the
+    candidates without building or checking codes. Returns the cost
+    reached (None if the levels ran out), the number of candidates
+    examined, how many of those were checked, and the resolving vectors at
+    that cost as (vertex, strength) pairs: the first one, or with
+    `collect` all of them.
     """
     n = len(caps)
     # after[z] = sum(caps[z + 1:]), the most cost the vertices above z take.
     after = list(accumulate(caps[:0:-1], initial=0))[::-1]
     ones = rows[1]
-    masks = [sum(map((1).__lshift__, grp)) for grp in groups]
+    masks = [sum(map((1).__lshift__, grp)) for grp in groups if len(grp) > 1]
+    members = sum(masks)
     top = 1 << n
-    checked = 0
     counted = 0
     cut = [0, 0]
-    count_below = None  # made at the first cut, by `_candidate_counter`
+    memo: dict[tuple[int, int, int, int, int], int] = {}
     path: list[tuple[int, int]] = []
     found: list[tuple[tuple[int, int], ...]] = []
 
-    def extend(codes, last: int, rem: int, supp: int, weight: int, zeros: int) -> bool:
-        """Try every way to spend `rem` more on vertices above `last`.
+    def extend(codes, last: int, rem: int, supp: int, weight: int, zeros: int) -> int:
+        """Try every way to spend `rem` more on vertices above `last`, and
+        return the number of candidates examined below this node.
 
         `codes` holds each vertex's code so far, times `base`; the vector
         so far has `supp` support vertices, prod(f + 1) = `weight`, and
         the vertices up to `last` at strength 0 in the bitmask `zeros`.
-        Returns True once the first resolving vector is found.
+        The walk stops at the first resolving vector unless it collects.
+        With `codes` None it counts every candidate below instead, builds
+        no code, and memoises the count on what the walk reads: |supp| and
+        the product only matter up to `need`, and `zeros` only on twin
+        group members.
         """
-        nonlocal checked, counted, count_below
+        nonlocal counted
+        if codes is None:
+            key = (last, rem, min(supp, need), min(weight, need), zeros & members)
+            total = memo.get(key)
+            if total is not None:
+                return total
         supp += 1  # counting the next support vertex
         hi = n  # the next support vertex is below hi
         owed = 0  # support vertices still owed to twin groups
@@ -255,86 +203,77 @@ def _search(
                     owed += t.bit_count() - 1
                     owing |= t
         zs = range(hi - 1, last, -1) if descending else range(last + 1, hi)
+        total = 0
         if rem == 1:
             # Every child is a leaf at strength 1.
-            if supp + 2 * weight < need:
-                return False
+            if supp + 2 * weight >= need:
+                if codes is None:
+                    total = sum(owed <= owing >> z & 1 for z in zs)
+                else:
+                    for z in zs:
+                        if owed > owing >> z & 1:
+                            continue
+                        total += 1
+                        if len(set(map(add, codes, ones[z]))) == n:
+                            found.append((*path, (z, 1)))
+                            if not collect:
+                                return total
+        else:
+            # Rows that end a vector here, if any vertex can take all of rem.
+            ends = rows[rem] if rem < len(rows) and supp + weight * (rem + 1) >= need else ()
             for z in zs:
-                if owed > owing >> z & 1:
+                cap = caps[z]
+                lo = rem - after[z]
+                if lo > cap:
                     continue
-                checked += 1
-                if len(set(map(add, codes, ones[z]))) == n:
-                    found.append((*path, (z, 1)))
+                if masks:
+                    still = owed - (owing >> z & 1)
+                    skipped = zeros | ((1 << z) - (1 << (last + 1)))
+                for v in range(lo if lo > 1 else 1, cap + 1 if cap < rem else rem):
+                    left = rem - v
+                    w = weight * (v + 1)
+                    # Each unit of cost left adds at most one support vertex
+                    # and doubles the product at most, so supp + left +
+                    # w * 2**left bounds |supp| + prod(f + 1) below here. It
+                    # falls as v grows, and so does `left`.
+                    if still > left or supp + left + (w << left) < need:
+                        break
+                    if codes is None:
+                        total += extend(None, z, left, supp, w, skipped)
+                        continue
+                    nxt = [c * base for c in map(add, codes, rows[v][z])]
+                    # The candidates below a cut are counted, not checked.
+                    if cut[left] > 2 and len(set(nxt)) < cut[left]:
+                        below = extend(None, z, left, supp, w, skipped)
+                        counted += below
+                        total += below
+                        continue
+                    path.append((z, v))
+                    total += extend(nxt, z, left, supp, w, skipped)
+                    if found and not collect:
+                        return total
+                    path.pop()
+                if cap < rem or still or not ends:
+                    continue
+                total += 1
+                if codes is not None and len(set(map(add, codes, ends[z]))) == n:
+                    found.append((*path, (z, rem)))
                     if not collect:
-                        return True
-            return False
-        # Rows that end a vector here, if any vertex can take all of rem.
-        ends = rows[rem] if rem < len(rows) and supp + weight * (rem + 1) >= need else ()
-        for z in zs:
-            cap = caps[z]
-            lo = rem - after[z]
-            if lo > cap:
-                continue
-            if masks:
-                still = owed - (owing >> z & 1)
-                skipped = zeros | ((1 << z) - (1 << (last + 1)))
-            for v in range(lo if lo > 1 else 1, cap + 1 if cap < rem else rem):
-                left = rem - v
-                w = weight * (v + 1)
-                # Each unit of cost left adds at most one support vertex and
-                # doubles the product at most, so supp + left + w * 2**left
-                # bounds |supp| + prod(f + 1) below here. It falls as v
-                # grows, and so does `left`.
-                if still > left or supp + left + (w << left) < need:
-                    break
-                nxt = [c * base for c in map(add, codes, rows[v][z])]
-                # The candidates below a cut are counted, not checked.
-                if cut[left] > 2 and len(set(nxt)) < cut[left]:
-                    if count_below is None:
-                        count_below = _candidate_counter(rows, caps, after, masks, need)
-                    counted += count_below(z, left, supp, w, skipped)
-                    continue
-                path.append((z, v))
-                if extend(nxt, z, left, supp, w, skipped):
-                    return True
-                path.pop()
-            if cap < rem or still or not ends:
-                continue
-            checked += 1
-            if len(set(map(add, codes, ends[z]))) == n:
-                found.append((*path, (z, rem)))
-                if not collect:
-                    return True
-        return False
+                        return total
+        if codes is None:
+            memo[key] = total
+        return total
 
     start = [0] * n
-    for total in levels:
-        if total + (1 << total) >= need:
-            if len(cut) < total:
-                cut = _class_cuts(rows, n, total - 1)
-            extend(start, -1, total, 0, 1, 0)
+    examined = 0
+    for cost in levels:
+        if cost + (1 << cost) >= need:
+            if len(cut) < cost:
+                cut = _class_cuts(rows, n, cost - 1)
+            examined += extend(start, -1, cost, 0, 1, 0)
             if found:
-                return total, checked + counted, checked, found
-    return None, checked + counted, checked, found
-
-
-def _solve_by_subsets(g: Graph, rows, base: int, kind: str) -> SolverResult:
-    """Search vertex subsets by ascending size, lexicographic within a size.
-
-    `rows[z][v]` is the code entry vertex z contributes to v, below `base`.
-    """
-    n = g.n
-    if n == 0:
-        raise ValueError("graph has no vertices")
-    if n == 1:
-        return SolverResult(kind, 1, (0,), 0, 1, 0)
-    twins = twin_partition(g)
-    lb = max(1, twins.forced_minimum())
-    groups = [grp for grp in twins.groups if len(grp) > 1]
-    size, examined, checked, found = _search((None, rows), (1,) * n, range(lb, n), base, 0, groups, False)
-    if size is None:
-        raise RuntimeError("subset search exhausted without a resolving set")
-    return SolverResult(kind, size, next(zip(*found[0])), examined, lb, checked)
+                return cost, examined, examined - counted, found
+    return None, examined, examined - counted, found
 
 
 def solve_dim(g: Graph, d: Optional[DistanceMatrix] = None) -> SolverResult:
@@ -356,15 +295,26 @@ def solve_adim(g: Graph, d: Optional[DistanceMatrix] = None) -> SolverResult:
 
 
 def _solve_truncated(g: Graph, k: int, d: Optional[DistanceMatrix], kind: str) -> SolverResult:
+    """Search vertex subsets by ascending size, lexicographic within a size,
+    each landmark's row truncated at k + 1."""
     n = g.n
-    if n <= 1:
-        return _solve_by_subsets(g, (), 0, kind)
+    if n == 0:
+        raise ValueError("graph has no vertices")
+    if n == 1:
+        return SolverResult(kind, 1, (0,), 0, 1, 0)
     if d is None:
         d = all_pairs_distances(g)
     # Truncating at k + 1 >= n only moves the sentinel n to k + 1, still
     # above every distance, so the raw rows give the same code classes.
     rows = d.dist if k + 1 >= n else [truncated_row(row, k, n) for row in d.dist]
-    return _solve_by_subsets(g, rows, max(n, k + 2), kind)
+    twins = twin_partition(g)
+    lb = max(1, twins.forced_minimum())
+    size, examined, checked, found = _search(
+        (None, rows), (1,) * n, range(lb, n), max(n, k + 2), 0, twins.groups, False
+    )
+    if size is None:
+        raise RuntimeError("subset search exhausted without a resolving set")
+    return SolverResult(kind, size, next(zip(*found[0])), examined, lb, checked)
 
 
 def broadcast_value_caps(g: Graph, d: Optional[DistanceMatrix] = None) -> tuple[int, ...]:
@@ -433,7 +383,6 @@ def solve_bdim(g: Graph, d: Optional[DistanceMatrix] = None) -> SolverResult:
     prof = metric_profile(g, d)
     caps = _profile_caps(prof)
     twins = twin_partition(g)
-    groups = [grp for grp in twins.groups if len(grp) > 1]
     lb = max(
         1,
         -(-prof.finite_diameter // 3),
@@ -445,7 +394,7 @@ def solve_bdim(g: Graph, d: Optional[DistanceMatrix] = None) -> SolverResult:
         [truncated_row(drow, i, n) if i <= cap else None for drow, cap in zip(d.dist, caps)]
         for i in range(1, max(caps) + 1)
     ]
-    cost, examined, checked, found = _search(rows, caps, count(lb), n + 1, n, groups, True)
+    cost, examined, checked, found = _search(rows, caps, count(lb), n + 1, n, twins.groups, True)
     return SolverResult("bdim", cost, Broadcast(_vector(n, found[0])), examined, lb, checked)
 
 
@@ -462,7 +411,7 @@ def enumerate_min_broadcasts(g: Graph, d: Optional[DistanceMatrix] = None) -> En
         raise ValueError("graph has no vertices")
     if d is None:
         d = all_pairs_distances(g)
-    groups = [grp for grp in twin_partition(g).groups if len(grp) > 1]
+    groups = twin_partition(g).groups
     rows = [None]
     for s in count(1):
         rows.append([truncated_row(drow, s, n) for drow in d.dist])

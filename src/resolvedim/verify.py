@@ -89,6 +89,7 @@ class VerifyContext:
         self.tree_samples = tree_samples
         self.flatten_per_case = flatten_per_case
         self._battery: Optional[list[Graph]] = None
+        self._trees: Optional[list[Graph]] = None
         self._dist: dict[Graph, DistanceMatrix] = {}
         self._solved: dict[tuple[str, Graph], object] = {}
 
@@ -144,6 +145,13 @@ class VerifyContext:
         for _ in range(self.tree_samples):
             n = rng.randint(2, max_order)
             yield families.random_tree(n, rng.randrange(2**31))
+
+    def trees(self) -> list[Graph]:
+        """The battery's trees followed by the seeded random trees."""
+        if self._trees is None:
+            self._trees = [g for g in self.battery() if tree_profile(g).is_tree]
+            self._trees += self.random_trees()
+        return self._trees
 
 
 def naive_min_broadcasts(g: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -471,18 +479,14 @@ def suite_family_formulas(ctx: VerifyContext) -> Iterator[Check]:
 
 
 def suite_tree_dim(ctx: VerifyContext) -> Iterator[Check]:
-    trees = [g for g in ctx.battery() if tree_profile(g).is_tree]
-    trees += list(ctx.random_trees())
-    for g in trees:
+    for g in ctx.trees():
         want = formulas.tree_dim(g)
         got = ctx.solve("dim", g)
         yield Check(_describe(g), got == want, f"solver={got} structural={want}")
 
 
 def suite_tree_witness(ctx: VerifyContext) -> Iterator[Check]:
-    trees = [g for g in ctx.battery() if tree_profile(g).is_tree]
-    trees += list(ctx.random_trees())
-    for g in trees:
+    for g in ctx.trees():
         if tree_profile(g).ex == 0:
             continue
         witness = ctx.result("dim", g).witness
@@ -491,9 +495,9 @@ def suite_tree_witness(ctx: VerifyContext) -> Iterator[Check]:
 
 
 def suite_tree_bdim(ctx: VerifyContext) -> Iterator[Check]:
-    trees = [g for g in ctx.battery() if g.n >= 2 and tree_profile(g).is_tree]
-    trees += [g for g in ctx.random_trees() if g.n >= 2]
-    for g in trees:
+    for g in ctx.trees():
+        if g.n < 2:
+            continue
         dim = ctx.solve("dim", g)
         bdim = ctx.solve("bdim", g)
         res = formulas.spider_bdim(g)

@@ -209,3 +209,17 @@ def test_generate_dispatch():
         generate(FamilySpec("path", {"n": 4, "m": 1}))
     with pytest.raises(ValueError):
         generate(FamilySpec("path", {}))
+    assert generate(FamilySpec("grid", {"dims": (2, 3)})).n == 6
+    assert generate(FamilySpec("random_graph", {"n": 5, "p": 0.5, "seed": 1})).n == 5
+    assert generate(FamilySpec("random_graph", {"n": 5, "p": 1, "seed": 1})).m == 10
+    for family, params in (
+        ("path", {"n": 2.5}),
+        ("path", {"n": "4"}),
+        ("path", {"n": True}),
+        ("grid", {"dims": (2, "x")}),
+        ("random_graph", {"n": 5, "p": "0.5", "seed": 1}),
+        ("random_graph", {"n": 5, "p": 0.5, "seed": 1.0}),
+        ("spider", {"x": (4, 2), "s": 1}),
+    ):
+        with pytest.raises(ValueError, match="takes integers"):
+            generate(FamilySpec(family, params))

@@ -113,6 +113,15 @@ def test_catalog_rejects_unknown():
         _value("girth", "path", n=3)
     with pytest.raises(ValueError):
         _value("dim", "path")
+    for family, params in (
+        ("path", {"n": 2.5}),
+        ("cycle", {"n": "7"}),
+        ("complete_multipartite", {"parts": ("a", "b")}),
+        ("spider", {"x": 4, "s": 1.0}),
+        ("path", {"n": (5, 6)}),
+    ):
+        with pytest.raises(ValueError, match="takes integers"):
+            _value("dim", family, **params)
 
 
 def test_formula_matches_solver_spot_checks():

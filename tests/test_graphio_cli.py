@@ -52,6 +52,19 @@ def test_parse_json_errors():
         graphio.parse_graph('{"n": 3, "edges": [[0]]}')
 
 
+def test_order_cap(monkeypatch, capsys):
+    cap = graphio.MAX_ORDER
+    assert graphio.parse_graph(f"{cap} 0\n").n == cap
+    assert graphio.parse_graph(f'{{"n": {cap}, "edges": []}}').n == cap
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        graphio.parse_graph(f"{cap + 1} 0\n")
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        graphio.parse_graph(f'{{"n": {cap + 1}, "edges": []}}')
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"{cap + 1} 0\n"))
+    assert main(["dim", "-"]) == 3
+    assert "exceeds the limit" in capsys.readouterr().err
+
+
 def test_report_round_trip():
     r = Report(
         input="x n=5 m=4",
@@ -206,6 +219,25 @@ def test_formula_rejects_bad_input(capsys):
     assert "unknown" in capsys.readouterr().err
     assert main(["formula", "--param", "dim", "--family", "path",
                  "--params", "n=0"]) == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--family", "path", "--params", "n=abc"],
+        ["gen", "--family", "path", "--params", "n=2.5"],
+        ["gen", "--family", "grid", "--params", "dims=x"],
+        ["formula", "--param", "dim", "--family", "path", "--params", "n=abc"],
+        ["formula", "--param", "bdim", "--family", "complete_multipartite", "--params", "parts=a,b"],
+        ["formula", "--param", "dim", "--family", "path", "--params", "n=5,6"],
+        ["gen", "--family", "spider", "--params", "x=4,2,s=1"],
+    ],
+)
+def test_bad_parameter_values_exit_3(argv, capsys):
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 def test_gen_pipes_into_solve(tmp_path, capsys):

@@ -24,6 +24,7 @@ from resolvedim import (
     solve_bdim,
     solve_dim,
     solve_dim_k,
+    twin_partition,
 )
 
 
@@ -103,3 +104,25 @@ def test_class_count_cut_counts_what_it_skips():
     for g in (families.cycle(10), families.path(10)):
         d = all_pairs_distances(g)
         assert enumerate_min_broadcasts(g, d) == seed_oracle.enumerate_min_broadcasts(g, d)
+
+
+def test_class_count_cut_on_trees_with_twin_leaves():
+    # Twin leaves bring twin groups into the counting walk and its memo
+    # key; the cycles and paths above have none. Every solve where the cut
+    # skips a subtree is checked against the oracle.
+    adim_oracle = lambda g, d: seed_oracle.solve_dim_k(g, 1, d)
+    kinds = ((solve_bdim, seed_oracle.solve_bdim), (solve_adim, adim_oracle))
+    solves = cut = 0
+    for n in (12, 13):
+        for seed in range(40):
+            g = families.random_tree(n, seed)
+            if not any(len(grp) > 1 for grp in twin_partition(g).groups):
+                continue
+            d = all_pairs_distances(g)
+            for solve, oracle in kinds:
+                new = solve(g, d)
+                solves += 1
+                if new.candidates_checked < new.candidates_examined:
+                    cut += 1
+                    assert _fields(new) == _fields(oracle(g, d)), f"{new.kind} on tree n={n} seed={seed}"
+    assert (solves, cut) == (2 * 47, 29)
