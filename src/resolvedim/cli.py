@@ -1,5 +1,5 @@
 """Command-line front end: solve, enumerate, query the catalog,
-generate families, run the verification suites, and benchmark.
+generate families, and run the verification suites.
 
 Exit codes: 0 success, 2 usage error (bad flags, unknown family or
 suite), 3 input error (unreadable or malformed graph, a graph of order
@@ -81,8 +81,10 @@ def _parse_params(text: Optional[str]) -> dict:
             continue
         if "=" in token:
             key, raw = token.split("=", 1)
-            params[key.strip()] = _coerce(raw.strip())
             last = key.strip()
+            if last in params:
+                raise ValueError(f"parameter {last!r} is given twice")
+            params[last] = _coerce(raw.strip())
         elif last is None:
             raise ValueError(f"parameter value {token!r} has no key")
         else:
@@ -224,6 +226,8 @@ def _formula_command(args: argparse.Namespace) -> int:
 
 def _gen_command(args: argparse.Namespace) -> int:
     spec = families.FamilySpec(args.family, _parse_params(args.params))
+    # The solvers would refuse the graph as input, so it is not built.
+    graphio.check_order(families.order(spec))
     g = families.generate(spec)
     if args.format == "json":
         _emit(graphio.graph_to_json(g), args.output)
@@ -273,54 +277,6 @@ def _verify_command(args: argparse.Namespace) -> int:
         )
         _emit("\n".join(lines), args.output)
     return 4 if failed else 0
-
-
-def _bench_command(args: argparse.Namespace) -> int:
-    instances = [
-        ("path n=10", families.path(10)),
-        ("cycle n=12", families.cycle(12)),
-        ("petersen", families.petersen()),
-        ("grid 3x3", families.grid((3, 3))),
-        ("random n=8 p=0.5", families.random_graph(8, 0.5, args.seed)),
-    ]
-    rows = []
-    for name, g in instances:
-        d = all_pairs_distances(g)
-        timings = {}
-        for kind, fn in (("dim", solve_dim), ("adim", solve_adim), ("bdim", solve_bdim)):
-            started = time.perf_counter()
-            res = fn(g, d)
-            timings[kind] = (res.value, (time.perf_counter() - started) * 1000)
-        rows.append((name, g, timings))
-    if args.format == "json":
-        payload = {
-            "schema": "resolvedim.bench/1",
-            "tool_version": __version__,
-            "seed": args.seed,
-            "rows": [
-                {
-                    "instance": name,
-                    "order": g.n,
-                    "size": g.m,
-                    **{
-                        kind: {"value": val, "ms": round(ms, 3)}
-                        for kind, (val, ms) in timings.items()
-                    },
-                }
-                for name, g, timings in rows
-            ],
-        }
-        _emit(json.dumps(payload, sort_keys=True, indent=2), args.output)
-    else:
-        lines = [f"{'instance':<18} {'n':>3} {'dim':>12} {'adim':>12} {'bdim':>12}"]
-        for name, g, timings in rows:
-            cells = [
-                f"{timings[kind][0]} ({timings[kind][1]:.1f}ms)"
-                for kind in ("dim", "adim", "bdim")
-            ]
-            lines.append(f"{name:<18} {g.n:>3} {cells[0]:>12} {cells[1]:>12} {cells[2]:>12}")
-        _emit("\n".join(lines), args.output)
-    return 0
 
 
 def _add_common(sub: argparse.ArgumentParser, formats=("text", "json")) -> None:
@@ -375,11 +331,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--list", action="store_true", help="list suite ids and exit")
     _add_common(sub)
     sub.set_defaults(handler=_verify_command)
-
-    sub = commands.add_parser("bench", help="time the solvers on fixed instances")
-    sub.add_argument("--seed", type=int, default=0)
-    _add_common(sub)
-    sub.set_defaults(handler=_bench_command)
 
     return parser
 

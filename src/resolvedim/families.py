@@ -4,8 +4,9 @@ constructions, and seeded random graphs/trees.
 Every builder fixes the vertex numbering it documents, so repeated calls
 are bit-identical. `generate` dispatches a FamilySpec whose parameters
 are plain ints or, for parts and dims, int tuples (random_graph's p may
-be a float); the two-graph combinator `bits_construction` stays a
-direct function.
+be a float), and `order` gives the order of that graph without building
+it; the two-graph combinator `bits_construction` stays a direct
+function.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
+from math import prod
 
 from .graphs import Graph, build_graph, cartesian_product, induced_subgraph, join
 
@@ -356,13 +358,47 @@ def is_int_param(name: str, value) -> bool:
     return all(isinstance(x, int) and not isinstance(x, bool) for x in items)
 
 
-def generate(spec: FamilySpec) -> Graph:
-    """Build the graph a FamilySpec describes. Every parameter must be an
-    int, parts and dims may be tuples of ints, and random_graph's p may be
-    a float."""
+def _bits_order(k: int, *_) -> int:
+    """k + 2**k, the order of the bits construction over k >= 0 base
+    vertices; past k = 64 it reads k + 2**64, beyond any graph that can be
+    built."""
+    return k + (1 << min(max(k, 0), 64))
+
+
+# The order each builder returns, from the same parameters.
+_ORDERS = {
+    "path": lambda n: n,
+    "cycle": lambda n: n,
+    "complete": lambda n: n,
+    "empty": lambda n: n,
+    "star": lambda x: x + 1,
+    "complete_multipartite": lambda parts: sum(parts) if isinstance(parts, tuple) else parts,
+    "wheel": lambda n: n + 1,
+    "fan": lambda n: n + 1,
+    "petersen": lambda: 10,
+    "grid": lambda dims: prod(dims) if isinstance(dims, tuple) else dims,
+    "logn_sharp": _bits_order,
+    "logn_sharp_trimmed": lambda n: n,
+    "subgraph_gap": lambda k: k * (k + 1) // 2 + k,
+    "vdel_gap": lambda k: 3 * k + 2,
+    "edge_gap": lambda a, b, c: 3 + a + b + c,
+    "spider": lambda x, s: 1 + x + s,
+    "kK2": lambda k: 2 * k,
+    "kK2_plus_isolated": lambda k: 2 * k + 1,
+    "grid_plus_apex": lambda k: k * k + 1,
+    "random_graph": lambda n, p, seed: n,
+    "random_tree": lambda n, seed: n,
+    "sample_Hk": _bits_order,
+}
+
+
+def _arguments(spec: FamilySpec) -> list:
+    """Check a FamilySpec and return its parameters in the builder's
+    order. Every parameter must be an int, parts and dims may be tuples of
+    ints, and random_graph's p may be a float."""
     if spec.family not in FAMILIES:
         raise KeyError(f"unknown family {spec.family!r}")
-    names, fn = FAMILIES[spec.family]
+    names, _ = FAMILIES[spec.family]
     params = dict(spec.params)
     extra = set(params) - set(names)
     if extra:
@@ -375,4 +411,18 @@ def generate(spec: FamilySpec) -> Graph:
         real = spec.family == "random_graph" and name == "p" and isinstance(value, float)
         if not (real or is_int_param(name, value)):
             raise ValueError(f"parameter {name} of {spec.family} takes integers, got {value!r}")
-    return fn(*(params[name] for name in names))
+    return [params[name] for name in names]
+
+
+def order(spec: FamilySpec) -> int:
+    """The order of the graph `generate(spec)` would build, found without
+    building it; for sample_Hk, which keeps a random share of its string
+    vertices, the largest order it can have. Parameters are checked as
+    `generate` checks them, but not the builder's own range checks."""
+    return _ORDERS[spec.family](*_arguments(spec))
+
+
+def generate(spec: FamilySpec) -> Graph:
+    """Build the graph a FamilySpec describes (see `_arguments` for the
+    parameters it takes)."""
+    return FAMILIES[spec.family][1](*_arguments(spec))

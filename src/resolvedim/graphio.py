@@ -52,7 +52,7 @@ def _parse_edge_list(text: str) -> Graph:
             header = (a, b)
             if a < 0 or b < 0:
                 raise ValueError(f"line {lineno}: order and edge count must be nonnegative")
-            _check_order(a)
+            check_order(a)
             expected = b
             continue
         edges.append((a, b))
@@ -76,7 +76,7 @@ def _parse_json(text: str) -> Graph:
     edges = obj["edges"]
     if not _is_int(n):
         raise ValueError('"n" must be an integer')
-    _check_order(n)
+    check_order(n)
     if not isinstance(edges, list):
         raise ValueError('"edges" must be a list of pairs')
     pairs = []
@@ -87,7 +87,8 @@ def _parse_json(text: str) -> Graph:
     return build_graph(n, pairs)
 
 
-def _check_order(n: int) -> None:
+def check_order(n: int) -> None:
+    """Raise ValueError for an order above MAX_ORDER."""
     if n > MAX_ORDER:
         raise ValueError(f"order {n} exceeds the limit of {MAX_ORDER} vertices")
 

@@ -40,15 +40,30 @@ each count, so there is one walk of the enumeration to keep right.
 `candidates_examined` is therefore unchanged, and `candidates_checked`
 says how many had their codes compared.
 
+For sets, the exponential part of a solve is mostly the proof that no
+smaller set resolves, not the search for the witness. A set resolves
+exactly when it holds, for every pair of vertices, a landmark whose row
+separates them: a hitting set over pairs (Khuller, Raghavachari and
+Rosenfeld, 1996). So dim, dim_k and adim find the value first. From the
+first level whose candidates outnumber the entries of the pair table
+(`_pair_table`), each level is tested by a branch and bound over that
+table (`_separable`) before it is scanned; a level it shows empty is
+walked in counting mode, and the first level it cannot rule out is
+scanned for the lex-least witness. The test runs only when the class
+cut is idle and that level lies above the first one scanned
+(`_level_proof`); below it the scan runs as before. So the counts stay
+the same, and `candidates_checked` leaves out the proved levels too.
+
 Order-1 graphs take value 1 by convention for all parameters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, count
-from operator import add
-from typing import Iterable, Optional, Sequence, Union
+from itertools import accumulate, combinations, count
+from math import comb
+from operator import add, ne
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .graphs import (
     DistanceMatrix,
@@ -73,7 +88,8 @@ class SolverResult:
     candidates_examined: int
     lower_bound_used: int
     # The candidates whose codes were compared; the rest of those examined
-    # were counted in subtrees the class-count cut skipped.
+    # were counted in subtrees the class-count cut skipped or in levels the
+    # pair-separation proof showed empty.
     candidates_checked: int
 
 
@@ -124,10 +140,14 @@ def _search(
     groups,
     descending: bool,
     collect: bool = False,
+    empty: Optional[Callable[[int], bool]] = None,
 ) -> tuple[Optional[int], int, int, list[tuple[tuple[int, int], ...]]]:
     """Scan strength vectors level by level, each cost of `levels` in turn
     and lexicographic order within a cost, for ones whose codes are all
-    distinct; stop after the first level that has one.
+    distinct; stop after the first level that has one. A level for which
+    `empty(cost)` holds is known to have no such vector: its candidates
+    are counted, not checked. `empty` is asked about each level in turn,
+    before it is scanned, and not after a level that resolves.
 
     A vector is built one support vertex at a time: each step picks the
     next vertex z above the previous one and a strength 1 <= v <= caps[z],
@@ -144,7 +164,8 @@ def _search(
     of its vectors can be a candidate. Below a node whose codes have too
     few classes for its remaining cost to finish (`_class_cuts`) no vector
     resolves: the walk goes on there in counting mode, which counts the
-    candidates without building or checking codes. Returns the cost
+    candidates without building or checking codes. A level `empty` rules
+    out is walked from the root in counting mode. Returns the cost
     reached (None if the levels ran out), the number of candidates
     examined, how many of those were checked, and the resolving vectors at
     that cost as (vertex, strength) pairs: the first one, or with
@@ -268,6 +289,11 @@ def _search(
     examined = 0
     for cost in levels:
         if cost + (1 << cost) >= need:
+            if empty is not None and empty(cost):
+                below = extend(None, -1, cost, 0, 1, 0)
+                counted += below
+                examined += below
+                continue
             if len(cut) < cost:
                 cut = _class_cuts(rows, n, cost - 1)
             examined += extend(start, -1, cost, 0, 1, 0)
@@ -296,7 +322,8 @@ def solve_adim(g: Graph, d: Optional[DistanceMatrix] = None) -> SolverResult:
 
 def _solve_truncated(g: Graph, k: int, d: Optional[DistanceMatrix], kind: str) -> SolverResult:
     """Search vertex subsets by ascending size, lexicographic within a size,
-    each landmark's row truncated at k + 1."""
+    each landmark's row truncated at k + 1; the pair-separation proof
+    (`_level_proof`) rules out the large levels below the value."""
     n = g.n
     if n == 0:
         raise ValueError("graph has no vertices")
@@ -309,12 +336,132 @@ def _solve_truncated(g: Graph, k: int, d: Optional[DistanceMatrix], kind: str) -
     rows = d.dist if k + 1 >= n else [truncated_row(row, k, n) for row in d.dist]
     twins = twin_partition(g)
     lb = max(1, twins.forced_minimum())
+    empty = _level_proof(rows, n, lb, twins.groups)
     size, examined, checked, found = _search(
-        (None, rows), (1,) * n, range(lb, n), max(n, k + 2), 0, twins.groups, False
+        (None, rows), (1,) * n, range(lb, n), max(n, k + 2), 0, twins.groups, False, empty=empty
     )
     if size is None:
         raise RuntimeError("subset search exhausted without a resolving set")
     return SolverResult(kind, size, next(zip(*found[0])), examined, lb, checked)
+
+
+def _level_proof(rows, n: int, lb: int, groups) -> Optional[Callable[[int], bool]]:
+    """Return the `empty` test of a subset search over the landmark rows
+    `rows` from level lb, or None when the proof does not run.
+
+    It runs when the class cut is idle (some row gains at least (n - 2)/2
+    classes, so every cut of `_class_cuts` is 0) and the first level L that
+    holds more candidates than the pair table has entries, n * C(n, 2),
+    lies above lb. The scan checks the levels below L as before, so the
+    table is built only after the scan has checked a whole level with
+    more than 1/n as many candidates as the table has entries, and never
+    for a solve whose witness lies below L. From L on, a level
+    is empty exactly when no set of that size separates every pair
+    (`_separable`); a larger set resolves whenever a smaller one does, so
+    the first level it does not rule out is the value.
+    """
+    entries = n * comb(n, 2)
+    if comb(n, n // 2) <= entries:
+        # No level can outnumber the table: n <= 11.
+        return None
+    # cands[s]: the s-subsets that leave at most one member of each twin
+    # group out, i.e. the candidates of level s.
+    cands = [1]
+    for grp in groups:
+        m = len(grp)
+        nxt = [0] * (len(cands) + m)
+        for s, c in enumerate(cands):
+            nxt[s + m] += c
+            nxt[s + m - 1] += c * m
+        cands = nxt
+    big = next((size for size in range(lb, n) if cands[size] > entries), None)
+    if big is None or big == lb or any(_class_cuts((None, rows), n, 2)):
+        return None
+    table: list[list[int]] = []
+
+    def empty(size: int) -> bool:
+        if size < big:
+            return False
+        if not table:
+            table.extend(_pair_table(rows))
+        return not _separable(*table, size)
+
+    return empty
+
+
+_BITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _pair_table(rows) -> tuple[list[int], list[int]]:
+    """Return the pair-separation table of the rows of n >= 2 landmarks:
+    for each pair x < y, in `combinations` order, the bitmask of the
+    landmarks z with rows[z][x] != rows[z][y]; and for each landmark, the
+    bitmask of the pairs it separates. Each mask is spelled out as a
+    binary numeral, highest bit first, and parsed by `int`."""
+    n = len(rows)
+    pairs = list(combinations(range(n), 2))
+    xs = [x for x, _ in reversed(pairs)]
+    ys = [y for _, y in reversed(pairs)]
+    covers = [
+        int(bytes(map(ne, map(row.__getitem__, xs), map(row.__getitem__, ys))).translate(_BITS), 2)
+        for row in rows
+    ]
+    # cols[x][j] = rows[n - 1 - j][x]: landmark n - 1 first.
+    cols = [col[::-1] for col in zip(*rows)]
+    seps = [int(bytes(map(ne, cols[x], cols[y])).translate(_BITS), 2) for x, y in pairs]
+    return seps, covers
+
+
+def _separable(seps: list[int], covers: list[int], budget: int) -> bool:
+    """Whether at most `budget` landmarks separate every pair of a
+    `_pair_table`: a branch and bound over hitting sets.
+
+    A node branches on the open pair with the fewest landmarks still
+    available, taking each of them in turn and excluding it from the
+    branches after its own, so every hitting set lies in some branch.
+    Pairs whose available separators are pairwise disjoint each need a
+    landmark of their own, so a node is cut when a greedy packing of such
+    pairs, fewest separators first, holds more pairs than the budget left.
+    """
+
+    def feasible(open_: int, avail: int, budget: int) -> bool:
+        if budget == 1:
+            # One landmark must separate every open pair.
+            while open_:
+                low = open_ & -open_
+                avail &= seps[low.bit_length() - 1]
+                if not avail:
+                    return False
+                open_ ^= low
+            return True
+        options = []
+        rest = open_
+        while rest:
+            low = rest & -rest
+            sep = seps[low.bit_length() - 1] & avail
+            if not sep:
+                return False
+            options.append((sep.bit_count(), sep))
+            rest ^= low
+        options.sort()
+        used = packed = 0
+        for _, sep in options:
+            if not sep & used:
+                used |= sep
+                packed += 1
+                if packed > budget:
+                    return False
+        sep = options[0][1]
+        while sep:
+            low = sep & -sep
+            rest = open_ & ~covers[low.bit_length() - 1]
+            if not rest or feasible(rest, avail ^ low, budget - 1):
+                return True
+            avail ^= low
+            sep ^= low
+        return False
+
+    return feasible((1 << len(seps)) - 1, (1 << len(covers)) - 1, budget)
 
 
 def broadcast_value_caps(g: Graph, d: Optional[DistanceMatrix] = None) -> tuple[int, ...]:

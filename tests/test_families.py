@@ -223,3 +223,26 @@ def test_generate_dispatch():
     ):
         with pytest.raises(ValueError, match="takes integers"):
             generate(FamilySpec(family, params))
+
+
+def test_order_matches_the_built_graph():
+    params = {
+        "path": {"n": 5}, "cycle": {"n": 5}, "complete": {"n": 5}, "empty": {"n": 5},
+        "star": {"x": 4}, "complete_multipartite": {"parts": (1, 2, 3)}, "wheel": {"n": 5},
+        "fan": {"n": 5}, "petersen": {}, "grid": {"dims": (2, 3, 2)}, "logn_sharp": {"k": 3},
+        "logn_sharp_trimmed": {"n": 9}, "subgraph_gap": {"k": 4}, "vdel_gap": {"k": 3},
+        "edge_gap": {"a": 3, "b": 2, "c": 4}, "spider": {"x": 4, "s": 2}, "kK2": {"k": 3},
+        "kK2_plus_isolated": {"k": 3}, "grid_plus_apex": {"k": 3},
+        "random_graph": {"n": 7, "p": 0.5, "seed": 2}, "random_tree": {"n": 7, "seed": 2},
+    }
+    assert set(params) | {"sample_Hk"} == set(families.FAMILIES)
+    for family, values in params.items():
+        spec = FamilySpec(family, values)
+        assert families.order(spec) == generate(spec).n, family
+    # sample_Hk keeps a random share of its 2**j string vertices, j <= k.
+    for seed in range(20):
+        spec = FamilySpec("sample_Hk", {"k": 3, "seed": seed})
+        assert generate(spec).n <= families.order(spec) == 3 + 2**3
+    assert families.order(FamilySpec("logn_sharp", {"k": 10**12})) == 10**12 + 2**64
+    with pytest.raises(ValueError, match="takes integers"):
+        families.order(FamilySpec("path", {"n": 2.5}))

@@ -231,6 +231,8 @@ def test_formula_rejects_bad_input(capsys):
         ["formula", "--param", "bdim", "--family", "complete_multipartite", "--params", "parts=a,b"],
         ["formula", "--param", "dim", "--family", "path", "--params", "n=5,6"],
         ["gen", "--family", "spider", "--params", "x=4,2,s=1"],
+        ["formula", "--param", "dim", "--family", "path", "--params", "n=5,n=9"],
+        ["gen", "--family", "spider", "--params", "x=4,s=1,x=5"],
     ],
 )
 def test_bad_parameter_values_exit_3(argv, capsys):
@@ -254,6 +256,23 @@ def test_gen_json_format(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["n"] == 4
     assert payload["edges"] == [[0, 1], [2, 3]]
+
+
+def test_gen_rejects_orders_above_the_limit(monkeypatch, capsys):
+    # The order is checked before the builder runs: K_2001 would take
+    # two million edges.
+    def refuse(spec):
+        raise AssertionError(f"{spec.family} was built")
+
+    monkeypatch.setattr(families, "generate", refuse)
+    for family in ("path", "complete"):
+        assert main(["gen", "--family", family, "--params", "n=2001"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exceeds the limit of 2000" in captured.err
+    monkeypatch.undo()
+    assert main(["gen", "--family", "path", "--params", "n=2000"]) == 0
+    assert graphio.parse_graph(capsys.readouterr().out).n == 2000
 
 
 def test_gen_rejects_bad_family(capsys):
@@ -290,16 +309,6 @@ def test_verify_reports_failures(monkeypatch, capsys):
     assert "boom" in out
 
 
-def test_bench_json(capsys):
-    assert main(["bench", "--format", "json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert len(payload["rows"]) == 5
-    names = [row["instance"] for row in payload["rows"]]
-    assert "petersen" in names
-    petersen_row = payload["rows"][names.index("petersen")]
-    assert petersen_row["dim"]["value"] == 3
-
-
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     assert "resolvedim" in capsys.readouterr().out
@@ -309,3 +318,5 @@ def test_usage_errors_exit_2():
     assert main([]) == 2
     assert main(["dim"]) == 2
     assert main(["formula", "--param", "nope", "--family", "path"]) == 2
+    # The timing subcommand is gone; bench/ measures the solvers.
+    assert main(["bench"]) == 2

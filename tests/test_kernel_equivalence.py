@@ -26,6 +26,9 @@ from resolvedim import (
     solve_dim_k,
     twin_partition,
 )
+from resolvedim.graphs import truncated_row
+from resolvedim import solvers
+from resolvedim.solvers import _class_cuts, _pair_table, _separable
 
 
 def _fields(res):
@@ -126,3 +129,59 @@ def test_class_count_cut_on_trees_with_twin_leaves():
                     cut += 1
                     assert _fields(new) == _fields(oracle(g, d)), f"{new.kind} on tree n={n} seed={seed}"
     assert (solves, cut) == (2 * 47, 29)
+
+
+def test_pair_separation_test_matches_the_scan():
+    # Called without the solvers' gate, at every budget: some `budget`
+    # landmarks separate every pair exactly when the scan's value is at
+    # most the budget.
+    rng = random.Random(19961030)
+    graphs = [g for g in _labelled_graphs(5) if g.n > 1]
+    graphs += [families.random_graph(n, rng.uniform(0.1, 0.7), rng.randrange(2**31)) for n in range(6, 10) for _ in range(8)]
+    for g in graphs:
+        n = g.n
+        d = all_pairs_distances(g)
+        for k, oracle in ((n - 1, seed_oracle.solve_dim), (1, None), (2, None), (3, None)):
+            value = (oracle(g, d) if oracle else seed_oracle.solve_dim_k(g, k, d)).value
+            seps, covers = _pair_table([truncated_row(row, k, n) for row in d.dist])
+            for budget in range(1, n):
+                assert _separable(seps, covers, budget) == (budget >= value), (
+                    f"k={k} budget={budget} n={n} edges={g.edges()}"
+                )
+
+
+def test_solves_that_prove_levels_empty():
+    # With the class cut idle, these solves prove the levels from the
+    # first one with more candidates than the pair table has entries up
+    # to the value empty, and count their candidates instead of checking
+    # them: every field still matches the oracle.
+    dim2, dim2_oracle = (lambda g, d: solve_dim_k(g, 2, d)), (lambda g, d: seed_oracle.solve_dim_k(g, 2, d))
+    adim_oracle = lambda g, d: seed_oracle.solve_dim_k(g, 1, d)
+    cases = [(solve_dim, seed_oracle.solve_dim, 25, families.random_graph(26, 0.3, s)) for s in (0, 3, 8)]
+    cases += [
+        (solve_adim, adim_oracle, 1, families.random_graph(17, 0.35, 1)),
+        (solve_adim, adim_oracle, 1, families.random_tree(14, 3)),
+        (dim2, dim2_oracle, 2, families.random_tree(17, 6)),
+    ]
+    for solve, oracle, k, g in cases:
+        d = all_pairs_distances(g)
+        new = solve(g, d)
+        assert _fields(new) == _fields(oracle(g, d)), f"{new.kind} on n={g.n} edges={g.edges()}"
+        assert new.candidates_checked < new.candidates_examined
+        # The class cut skips nothing here, so the proof made the gap.
+        assert not any(_class_cuts((None, [truncated_row(row, k, g.n) for row in d.dist]), g.n, g.n))
+    # The class cut works on adim of C17 and P17, so the proof leaves them alone.
+    assert solve_adim(families.cycle(17)).candidates_checked == 774
+    assert solve_adim(families.path(17)).candidates_checked == 992
+
+
+def test_no_pair_table_when_the_scan_ends_first(monkeypatch):
+    # Below the first proved level the scan runs as before, and a witness
+    # there ends the solve: a path of order 300 passes the gate (L = 4,
+    # a table of 13 million entries) but resolves at level 1.
+    def refuse(rows):
+        raise AssertionError("pair table built")
+
+    monkeypatch.setattr(solvers, "_pair_table", refuse)
+    res = solve_dim(families.path(300))
+    assert (res.value, res.witness, res.candidates_checked) == (1, (0,), 1)
