@@ -3,13 +3,15 @@ generate families, and run the verification suites.
 
 Exit codes: 0 success, 2 usage error (bad flags, unknown family or
 suite), 3 input error (unreadable or malformed graph, a graph of order
-above `graphio.MAX_ORDER` = 2000, bad parameter values), 4 verification
+above `graphio.MAX_ORDER` = 2000, bad parameter values, a verify
+`--max-order` outside 1..6 or a negative `--samples`), 4 verification
 failure (a suite or a witness check failed).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -284,6 +286,7 @@ def _add_common(sub: argparse.ArgumentParser, formats=("text", "json")) -> None:
     sub.add_argument("-o", "--output", default=None, help="write to a file instead of stdout")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="resolvedim",

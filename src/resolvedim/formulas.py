@@ -11,14 +11,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .families import is_int_param
-from .graphs import (
-    DistanceMatrix,
-    Graph,
-    all_pairs_distances,
-    delta_prime,
-    metric_profile,
-    tree_profile,
-)
+from .graphs import DistanceMatrix, Graph, all_pairs_distances, delta_prime, tree_profile
 from .resolution import Broadcast, is_adjacency_resolving_set
 
 
@@ -273,7 +266,7 @@ def bound_report(
     """
     if d is None:
         d = all_pairs_distances(g)
-    prof = metric_profile(g, d)
+    prof = d.profile
     n = g.n
     diam = prof.finite_diameter
     connected = prof.connected and n >= 2

@@ -4,14 +4,20 @@ Vertices are dense 0-based integers. Distances between vertices in
 different components are stored as the sentinel value n (one past the
 largest possible finite distance), so every row is a plain int tuple and
 finite distances always compare below the sentinel.
+
+A `DistanceMatrix` is the per-graph bundle: it keeps the graph it was
+built from and computes the graph's twins (`twin_partition`), metric
+profile (`metric_profile`) and tree profile on first use, once each.
+Pass it wherever a function takes `d`, and every caller shares them.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations, repeat
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -63,23 +69,74 @@ def build_graph(n: int, edges: Sequence[tuple[int, int]]) -> Graph:
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """All-pairs shortest-path distances; entry n marks an unreachable pair."""
+    """All-pairs shortest-path distances of `graph`; entry n marks an
+    unreachable pair. The graph's twins, metric profile and tree profile
+    are computed on first use and kept."""
 
     n: int
     dist: tuple[tuple[int, ...], ...]
+    graph: Graph = field(compare=False, repr=False)
 
-    @property
-    def sentinel(self) -> int:
-        """Return the value standing for an infinite distance."""
-        return self.n
+    @cached_property
+    def twins(self) -> TwinPartition:
+        """The graph's twin pairs and twin groups."""
+        return twin_partition(self.graph)
 
-    def is_finite(self, x: int, y: int) -> bool:
-        """Return True if y is reachable from x."""
-        return self.dist[x][y] < self.n
+    @cached_property
+    def profile(self) -> MetricProfile:
+        """The graph's eccentricities, diameter and connectivity."""
+        return metric_profile(self.graph, self)
+
+    @cached_property
+    def tree(self) -> TreeProfile:
+        """Leaves, major vertices, exterior majors with their legs, and the
+        spider descriptor (present iff exactly one major vertex exists);
+        is_tree=False unless the graph is a tree."""
+        g = self.graph
+        n = g.n
+        if g.m != n - 1 or not self.profile.connected:
+            return TreeProfile(is_tree=False)
+        dist = self.dist
+        leaves = tuple(v for v in range(n) if g.degree(v) == 1)
+        majors = tuple(v for v in range(n) if g.degree(v) >= 3)
+        exterior = []
+        for v in majors:
+            terms = []
+            for leaf in leaves:
+                if all(dist[leaf][v] < dist[leaf][w] for w in majors if w != v):
+                    terms.append(leaf)
+            if not terms:
+                continue
+            legs = []
+            for leaf in terms:
+                # walk the unique tree path leaf -> v, then reverse it
+                path = [leaf]
+                cur = leaf
+                while cur != v:
+                    cur = min(g.adjacency[cur], key=lambda u: dist[u][v])
+                    path.append(cur)
+                path.reverse()
+                legs.append(tuple(path[1:]))
+            exterior.append(ExteriorMajor(v, tuple(terms), len(terms), tuple(legs)))
+        spider = None
+        if len(majors) == 1:
+            c = majors[0]
+            lengths = tuple(sorted((dist[c][leaf] for leaf in leaves), reverse=True))
+            spider = SpiderShape(c, lengths)
+        return TreeProfile(
+            is_tree=True,
+            end_vertices=leaves,
+            major_vertices=majors,
+            exterior=tuple(exterior),
+            sigma=len(leaves),
+            ex=len(exterior),
+            spider=spider,
+        )
 
 
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    """Compute BFS distances from every vertex, sentinel n for unreachable."""
+    """Compute BFS distances from every vertex, sentinel n for unreachable,
+    as the bundle of g."""
     n = g.n
     rows = []
     for s in range(n):
@@ -94,17 +151,7 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
                     row[w] = du + 1
                     q.append(w)
         rows.append(tuple(row))
-    return DistanceMatrix(n, tuple(rows))
-
-
-def truncated_distance(d: DistanceMatrix, x: int, y: int, k: int) -> int:
-    """Return min(d(x,y), k+1); an unreachable pair maps to k+1."""
-    if k <= 0:
-        raise ValueError("truncation parameter k must be positive")
-    v = d.dist[x][y]
-    if v >= d.n:
-        return k + 1
-    return min(v, k + 1)
+    return DistanceMatrix(n, tuple(rows), g)
 
 
 def truncated_row(drow: Sequence[int], k: int, n: int) -> tuple[int, ...]:
@@ -242,49 +289,11 @@ class TreeProfile:
 
 
 def tree_profile(g: Graph) -> TreeProfile:
-    """Compute leaves, major vertices, exterior majors with legs, and the
-    spider descriptor (present iff exactly one major vertex exists)."""
-    n = g.n
-    if g.m != n - 1:
+    """Return g's tree profile (`DistanceMatrix.tree`); a graph without
+    exactly n - 1 edges is refused before any BFS."""
+    if g.m != g.n - 1:
         return TreeProfile(is_tree=False)
-    d = all_pairs_distances(g)
-    if not metric_profile(g, d).connected:
-        return TreeProfile(is_tree=False)
-    leaves = tuple(v for v in range(n) if g.degree(v) == 1)
-    majors = tuple(v for v in range(n) if g.degree(v) >= 3)
-    exterior = []
-    for v in majors:
-        terms = []
-        for leaf in leaves:
-            if all(d.dist[leaf][v] < d.dist[leaf][w] for w in majors if w != v):
-                terms.append(leaf)
-        if not terms:
-            continue
-        legs = []
-        for leaf in terms:
-            # walk the unique tree path leaf -> v, then reverse it
-            path = [leaf]
-            cur = leaf
-            while cur != v:
-                cur = min(g.adjacency[cur], key=lambda u: d.dist[u][v])
-                path.append(cur)
-            path.reverse()
-            legs.append(tuple(path[1:]))
-        exterior.append(ExteriorMajor(v, tuple(terms), len(terms), tuple(legs)))
-    spider = None
-    if len(majors) == 1:
-        c = majors[0]
-        lengths = tuple(sorted((d.dist[c][leaf] for leaf in leaves), reverse=True))
-        spider = SpiderShape(c, lengths)
-    return TreeProfile(
-        is_tree=True,
-        end_vertices=leaves,
-        major_vertices=majors,
-        exterior=tuple(exterior),
-        sigma=len(leaves),
-        ex=len(exterior),
-        spider=spider,
-    )
+    return all_pairs_distances(g).tree
 
 
 def complement(g: Graph) -> Graph:

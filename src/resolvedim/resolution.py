@@ -16,13 +16,7 @@ from dataclasses import dataclass
 from math import prod
 from typing import Iterable, Optional
 
-from .graphs import (
-    DistanceMatrix,
-    Graph,
-    all_pairs_distances,
-    truncated_distance,
-    truncated_row,
-)
+from .graphs import DistanceMatrix, Graph, all_pairs_distances, truncated_row
 
 
 @dataclass(frozen=True)
@@ -77,7 +71,8 @@ def broadcast_code(g: Graph, d: DistanceMatrix, f, v: int) -> tuple[int, ...]:
     """Return v's code: one truncated distance per support vertex, in
     ascending support order."""
     vals = _check_broadcast(g, f)
-    return tuple(truncated_distance(d, z, v, x) for z, x in enumerate(vals) if x)
+    # Each entry is the one-entry row d(z, v), truncated at x + 1.
+    return tuple(truncated_row(d.dist[z][v : v + 1], x, g.n)[0] for z, x in enumerate(vals) if x)
 
 
 def _first_collision(codes: Iterable[tuple[int, ...]]) -> Optional[tuple[int, int]]:

@@ -65,16 +65,7 @@ from math import comb
 from operator import add, ne
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .graphs import (
-    DistanceMatrix,
-    Graph,
-    MetricProfile,
-    all_pairs_distances,
-    build_graph,
-    metric_profile,
-    truncated_row,
-    twin_partition,
-)
+from .graphs import DistanceMatrix, Graph, all_pairs_distances, build_graph, truncated_row
 from .resolution import Broadcast, is_resolving_broadcast
 
 
@@ -334,7 +325,7 @@ def _solve_truncated(g: Graph, k: int, d: Optional[DistanceMatrix], kind: str) -
     # Truncating at k + 1 >= n only moves the sentinel n to k + 1, still
     # above every distance, so the raw rows give the same code classes.
     rows = d.dist if k + 1 >= n else [truncated_row(row, k, n) for row in d.dist]
-    twins = twin_partition(g)
+    twins = d.twins
     lb = max(1, twins.forced_minimum())
     empty = _level_proof(rows, n, lb, twins.groups)
     size, examined, checked, found = _search(
@@ -477,11 +468,7 @@ def broadcast_value_caps(g: Graph, d: Optional[DistanceMatrix] = None) -> tuple[
     """
     if d is None:
         d = all_pairs_distances(g)
-    return _profile_caps(metric_profile(g, d))
-
-
-def _profile_caps(prof: MetricProfile) -> tuple[int, ...]:
-    """The caps of `broadcast_value_caps`, from the graph's metric profile."""
+    prof = d.profile
     drop = 1 if prof.connected else 0
     return tuple(max(1, ecc - drop) for ecc in prof.finite_eccentricities)
 
@@ -527,12 +514,11 @@ def solve_bdim(g: Graph, d: Optional[DistanceMatrix] = None) -> SolverResult:
         return SolverResult("bdim", 1, Broadcast((1,)), 0, 1, 0)
     if d is None:
         d = all_pairs_distances(g)
-    prof = metric_profile(g, d)
-    caps = _profile_caps(prof)
-    twins = twin_partition(g)
+    caps = broadcast_value_caps(g, d)
+    twins = d.twins
     lb = max(
         1,
-        -(-prof.finite_diameter // 3),
+        -(-d.profile.finite_diameter // 3),
         twins.forced_minimum(),
         _counting_lower_bound(n),
     )
@@ -558,7 +544,7 @@ def enumerate_min_broadcasts(g: Graph, d: Optional[DistanceMatrix] = None) -> En
         raise ValueError("graph has no vertices")
     if d is None:
         d = all_pairs_distances(g)
-    groups = twin_partition(g).groups
+    groups = d.twins.groups
     rows = [None]
     for s in count(1):
         rows.append([truncated_row(drow, s, n) for drow in d.dist])

@@ -24,10 +24,7 @@ from .graphs import (
     clique_number,
     complement,
     delta_prime,
-    metric_profile,
-    tree_profile,
-    truncated_distance,
-    twin_partition,
+    truncated_row,
 )
 from .resolution import broadcast_code, counting_feasible, is_resolving_broadcast
 from .solvers import (
@@ -71,7 +68,12 @@ def _describe(g: Graph) -> str:
 
 
 class VerifyContext:
-    """Instance sources and memoized solves shared by all suites."""
+    """Instance sources and memoized solves shared by all suites.
+
+    The battery holds every graph of order up to `max_order`, which must
+    lie in 1..6 (order 7 alone has 2,097,152 labelled graphs), plus
+    `samples` >= 0 seeded graphs at each of the two orders above it.
+    """
 
     def __init__(
         self,
@@ -82,6 +84,10 @@ class VerifyContext:
         tree_samples: int = 25,
         flatten_per_case: int = 2,
     ) -> None:
+        if not 1 <= max_order <= 6:
+            raise ValueError(f"max order must lie in 1..6, got {max_order}")
+        if samples < 0:
+            raise ValueError(f"samples must be nonnegative, got {samples}")
         self.max_order = max_order
         self.samples = samples
         self.seed = seed
@@ -97,6 +103,7 @@ class VerifyContext:
         return random.Random(f"{self.seed}:{name}")
 
     def dist(self, g: Graph) -> DistanceMatrix:
+        """g's bundle: its distances, and its twins and profiles once each."""
         if g not in self._dist:
             self._dist[g] = all_pairs_distances(g)
         return self._dist[g]
@@ -136,7 +143,7 @@ class VerifyContext:
             n = rng.randint(3, 8)
             p = rng.uniform(0.25, 0.8)
             g = families.random_graph(n, p, rng.randrange(2**31))
-            if metric_profile(g, self.dist(g)).connected:
+            if self.dist(g).profile.connected:
                 produced += 1
                 yield g
 
@@ -149,7 +156,7 @@ class VerifyContext:
     def trees(self) -> list[Graph]:
         """The battery's trees followed by the seeded random trees."""
         if self._trees is None:
-            self._trees = [g for g in self.battery() if tree_profile(g).is_tree]
+            self._trees = [g for g in self.battery() if self.dist(g).tree.is_tree]
             self._trees += self.random_trees()
         return self._trees
 
@@ -214,7 +221,7 @@ def suite_chain(ctx: VerifyContext) -> Iterator[Check]:
 
 def suite_diam_collapse(ctx: VerifyContext) -> Iterator[Check]:
     for g in ctx.battery():
-        prof = metric_profile(g, ctx.dist(g))
+        prof = ctx.dist(g).profile
         if g.n < 2 or not prof.connected or prof.diameter > 2:
             continue
         vals = {ctx.solve("dim", g), ctx.solve("adim", g), ctx.solve("bdim", g)}
@@ -232,7 +239,7 @@ def suite_twin_distance(ctx: VerifyContext) -> Iterator[Check]:
     for g in ctx.battery():
         d = ctx.dist(g)
         bad = ""
-        for u, w in twin_partition(g).pairs:
+        for u, w in d.twins.pairs:
             for z in range(g.n):
                 if z in (u, w):
                     continue
@@ -248,7 +255,7 @@ def suite_twin_support(ctx: VerifyContext) -> Iterator[Check]:
     for g in ctx.battery():
         if g.n < 3:
             continue
-        pairs = twin_partition(g).pairs
+        pairs = ctx.dist(g).twins.pairs
         if not pairs:
             continue
         ok = True
@@ -266,25 +273,24 @@ def suite_twin_support(ctx: VerifyContext) -> Iterator[Check]:
 
 def suite_truncation(ctx: VerifyContext) -> Iterator[Check]:
     for g in ctx.battery():
-        if g.n < 2:
+        n = g.n
+        if n < 2:
             continue
-        d = ctx.dist(g)
-        ok = True
         detail = ""
-        for x in range(g.n):
-            for y in range(g.n):
-                prev = None
-                for k in range(1, g.n + 1):
-                    t = truncated_distance(d, x, y, k)
-                    if prev is not None and t < prev:
-                        ok, detail = False, f"d_k({x},{y}) dropped at k={k}"
-                    prev = t
-                real = d.dist[x][y]
-                if real < d.n and truncated_distance(d, x, y, max(1, real)) != real:
-                    ok, detail = False, f"d_k({x},{y}) missed exact distance"
-                if real >= d.n and truncated_distance(d, x, y, g.n + 2) != g.n + 3:
-                    ok, detail = False, f"d_k({x},{y}) infinite pair not pinned at k+1"
-        yield Check(_describe(g), ok, detail)
+        for x, row in enumerate(ctx.dist(g).dist):
+            prev = None
+            # k + 1 passes n at k = n, so both ways of truncating are seen.
+            for k in range(1, n + 3):
+                cut = truncated_row(row, k, n)
+                for y, (real, got) in enumerate(zip(row, cut)):
+                    if prev is not None and got < prev[y]:
+                        detail = f"d_k({x},{y}) dropped at k={k}"
+                    elif real < n and k >= real and got != real:
+                        detail = f"d_k({x},{y}) missed exact distance at k={k}"
+                    elif real >= n and got != k + 1:
+                        detail = f"d_k({x},{y}) infinite pair not pinned at k+1={k + 1}"
+                prev = cut
+        yield Check(_describe(g), not detail, detail)
 
 
 def suite_counting_witness(ctx: VerifyContext) -> Iterator[Check]:
@@ -316,7 +322,7 @@ def suite_broadcast_monotone(ctx: VerifyContext) -> Iterator[Check]:
 
 def suite_bdim_sandwich(ctx: VerifyContext) -> Iterator[Check]:
     for g in ctx.battery():
-        prof = metric_profile(g, ctx.dist(g))
+        prof = ctx.dist(g).profile
         if g.n < 2 or not prof.connected:
             continue
         diam = prof.diameter
@@ -371,7 +377,7 @@ def suite_cap_safety(ctx: VerifyContext) -> Iterator[Check]:
             continue
         d = ctx.dist(g)
         caps = broadcast_value_caps(g, d)
-        connected = metric_profile(g, d).connected
+        connected = d.profile.connected
         ok = True
         detail = ""
         for _ in range(3):
@@ -415,7 +421,7 @@ def suite_flatten(ctx: VerifyContext) -> Iterator[Check]:
     for shape, builder in (("path", families.path), ("cycle", families.cycle)):
         for n in range(4, 13):
             g = builder(n)
-            d = all_pairs_distances(g)
+            d = ctx.dist(g)
             processed = 0
             attempts = 0
             while processed < ctx.flatten_per_case and attempts < 300:
@@ -487,7 +493,7 @@ def suite_tree_dim(ctx: VerifyContext) -> Iterator[Check]:
 
 def suite_tree_witness(ctx: VerifyContext) -> Iterator[Check]:
     for g in ctx.trees():
-        if tree_profile(g).ex == 0:
+        if ctx.dist(g).tree.ex == 0:
             continue
         witness = ctx.result("dim", g).witness
         ok = formulas.verify_zhang_structure(g, witness)
@@ -522,7 +528,7 @@ def suite_vertex_deletion(ctx: VerifyContext) -> Iterator[Check]:
         detail = ""
         for v in range(g.n):
             h, _ = delete_vertex(g, v)
-            if h.n < 2 or not metric_profile(h, ctx.dist(h)).connected:
+            if h.n < 2 or not ctx.dist(h).profile.connected:
                 continue
             ah = ctx.solve("adim", h)
             if a > ah + 1:
@@ -539,7 +545,7 @@ def suite_edge_deletion(ctx: VerifyContext) -> Iterator[Check]:
         detail = ""
         for e in g.edges():
             h = delete_edge(g, e)
-            if not metric_profile(h, ctx.dist(h)).connected:
+            if not ctx.dist(h).profile.connected:
                 continue
             ah = ctx.solve("adim", h)
             dh = ctx.solve("dim", h)
@@ -559,7 +565,7 @@ def suite_dimk(ctx: VerifyContext) -> Iterator[Check]:
         d = ctx.dist(g)
         ok = solve_dim_k(g, 1, d).value == ctx.solve("adim", g)
         detail = "dim_1 != adim" if not ok else ""
-        prof = metric_profile(g, d)
+        prof = d.profile
         if ok and prof.connected:
             k = max(1, prof.diameter - 1)
             if solve_dim_k(g, k, d).value != ctx.solve("dim", g):
@@ -600,7 +606,7 @@ def suite_sharp_families(ctx: VerifyContext) -> Iterator[Check]:
     g = families.subgraph_gap(3)
     base = 6
     induced_complete = all(g.has_edge(u, v) for u in range(base) for v in range(u + 1, base))
-    prof = metric_profile(g, ctx.dist(g))
+    prof = ctx.dist(g).profile
     dims = (ctx.solve("dim", g), ctx.solve("adim", g), ctx.solve("bdim", g))
     clique_dim = ctx.solve("dim", families.complete(base))
     yield Check(
@@ -615,8 +621,8 @@ def suite_sharp_families(ctx: VerifyContext) -> Iterator[Check]:
     )
     g = families.vdel_gap(2)
     gv, _ = delete_vertex(g, g.n - 1)
-    prof = metric_profile(g, ctx.dist(g))
-    profv = metric_profile(gv, ctx.dist(gv))
+    prof = ctx.dist(g).profile
+    profv = ctx.dist(gv).profile
     yield Check(
         "vdel_gap k=2",
         g.n == 8
@@ -650,7 +656,7 @@ def suite_sharp_families(ctx: VerifyContext) -> Iterator[Check]:
         for n in range(2, 5):
             g = families.grid((m, n))
             dim = ctx.solve("dim", g)
-            prof = metric_profile(g, ctx.dist(g))
+            prof = ctx.dist(g).profile
             bdim = ctx.solve("bdim", g)
             low = -(-prof.diameter // 3)
             yield Check(
@@ -681,7 +687,7 @@ SUITES: dict[str, tuple[Callable[[VerifyContext], Iterator[Check]], str]] = {
     "complement-adim": (suite_complement_adim, "adim is invariant under complementation"),
     "twin-distance": (suite_twin_distance, "twins are equidistant from every third vertex"),
     "twin-support": (suite_twin_support, "a broadcast silent on both twins leaves exactly that pair unresolved"),
-    "truncation": (suite_truncation, "truncated distance is monotone in k and exact once k+1 reaches the distance"),
+    "truncation": (suite_truncation, "truncated rows are monotone in k, exact once k+1 exceeds the distance, and pin unreachable entries at k+1"),
     "counting-witness": (suite_counting_witness, "solver broadcast witnesses satisfy the counting condition"),
     "broadcast-monotone": (suite_broadcast_monotone, "raising any strength of a resolving broadcast keeps it resolving"),
     "bdim-sandwich": (suite_bdim_sandwich, "ceil(d/3) <= bdim and, for d >= 2, bdim <= dim*(d-1)"),

@@ -113,23 +113,33 @@ def test_solve_reads_stdin(monkeypatch, capsys):
 def test_solve_runs_bfs_once(monkeypatch, capsys):
     import resolvedim
 
-    calls = []
-    bfs = resolvedim.graphs.all_pairs_distances
+    calls = {}
 
-    def counted(g):
-        calls.append(g.n)
-        return bfs(g)
+    def counter(name, fn):
+        def counted(g, *args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(g, *args)
 
-    # Every module of the package that binds the function gets the counter.
-    for name in ("cli", "formulas", "graphs", "resolution", "solvers", "verify"):
-        module = getattr(resolvedim, name)
-        if getattr(module, "all_pairs_distances", None) is bfs:
-            monkeypatch.setattr(module, "all_pairs_distances", counted)
-    monkeypatch.setattr("sys.stdin", io.StringIO(graphio.graph_to_edge_list(families.cycle(7))))
-    assert main(["dim", "-", "--format", "json"]) == 0
-    assert calls == [7]
-    stats = Report.from_json(capsys.readouterr().out).stats
-    assert stats["candidates_checked"] <= stats["candidates_examined"]
+        return counted
+
+    # Every module of the package that binds a function gets its counter.
+    for name in ("all_pairs_distances", "twin_partition", "metric_profile"):
+        fn = getattr(resolvedim.graphs, name)
+        for modname in ("cli", "formulas", "graphs", "resolution", "solvers", "verify"):
+            module = getattr(resolvedim, modname)
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counter(name, fn))
+    text = graphio.graph_to_edge_list(families.cycle(7))
+    for argv in (["dim"], ["adim"], ["dimk", "-k", "2"], ["bdim"]):
+        calls.clear()
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        # The solve, revalidation and the bound report share one of each.
+        assert main([argv[0], "-", *argv[1:], "--format", "json"]) == 0
+        assert calls["all_pairs_distances"] == 1, argv
+        assert calls.get("twin_partition", 0) <= 1, argv
+        assert calls.get("metric_profile", 0) <= 1, argv
+        stats = Report.from_json(capsys.readouterr().out).stats
+        assert stats["candidates_checked"] <= stats["candidates_examined"]
 
 
 def test_dimk_needs_k(tmp_path, capsys):
@@ -233,6 +243,11 @@ def test_formula_rejects_bad_input(capsys):
         ["gen", "--family", "spider", "--params", "x=4,2,s=1"],
         ["formula", "--param", "dim", "--family", "path", "--params", "n=5,n=9"],
         ["gen", "--family", "spider", "--params", "x=4,s=1,x=5"],
+        ["verify", "--max-order", "-1", "--samples", "0", "--suite", "chain"],
+        ["verify", "--max-order", "-1", "--samples", "2"],
+        ["verify", "--max-order", "7"],
+        ["verify", "--max-order", "0"],
+        ["verify", "--samples", "-1"],
     ],
 )
 def test_bad_parameter_values_exit_3(argv, capsys):

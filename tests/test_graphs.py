@@ -19,7 +19,7 @@ from resolvedim import (
     join,
     metric_profile,
     tree_profile,
-    truncated_distance,
+    truncated_row,
     twin_partition,
 )
 
@@ -58,24 +58,19 @@ def test_distances_path():
 def test_distances_disconnected_sentinel():
     g = disjoint_union(families.path(2), families.path(2))
     d = all_pairs_distances(g)
-    assert d.sentinel == 4
-    assert d.dist[0][2] == 4
-    assert not d.is_finite(0, 3)
-    assert d.is_finite(0, 1)
+    assert d.dist[0] == (0, 1, 4, 4)
 
 
 def test_truncated_distance_values():
     g = disjoint_union(families.path(4), families.path(1))
-    d = all_pairs_distances(g)
-    # reachable pair at distance 3
-    assert truncated_distance(d, 0, 3, 1) == 2
-    assert truncated_distance(d, 0, 3, 2) == 3
-    assert truncated_distance(d, 0, 3, 5) == 3
-    # unreachable pair pins at k + 1
-    assert truncated_distance(d, 0, 4, 1) == 2
-    assert truncated_distance(d, 0, 4, 3) == 4
-    with pytest.raises(ValueError):
-        truncated_distance(d, 0, 1, 0)
+    row = all_pairs_distances(g).dist[0]
+    assert row == (0, 1, 2, 3, 5)
+    # vertex 3 sits at distance 3; vertex 4 is unreachable and pins at k + 1
+    assert truncated_row(row, 1, g.n) == (0, 1, 2, 2, 2)
+    assert truncated_row(row, 2, g.n) == (0, 1, 2, 3, 3)
+    assert truncated_row(row, 3, g.n) == (0, 1, 2, 3, 4)
+    # k + 1 above n: the sentinel n itself moves up to k + 1
+    assert truncated_row(row, 5, g.n) == (0, 1, 2, 3, 6)
 
 
 def test_twin_partition_star_leaves():

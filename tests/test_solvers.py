@@ -204,16 +204,17 @@ def test_revalidate_rejects_malformed_requests():
 
 
 def test_bdim_builds_one_metric_profile(monkeypatch):
-    from resolvedim import solvers
+    from resolvedim import graphs
 
     calls = []
-    profile = solvers.metric_profile
+    profile = graphs.metric_profile
 
     def counted(g, d=None):
         calls.append(g.n)
         return profile(g, d)
 
-    monkeypatch.setattr(solvers, "metric_profile", counted)
+    # The distance matrix's `profile` builds it through this binding.
+    monkeypatch.setattr(graphs, "metric_profile", counted)
     for g in (families.cycle(8), disjoint_union(families.path(3), families.path(4))):
         calls.clear()
         solve_bdim(g)

@@ -62,3 +62,51 @@ def test_deletion_graphs_are_connected_and_seeded():
     second = [g.edges() for g in VerifyContext(deletion_samples=6).deletion_graphs()]
     assert first == second
     assert len(first) == 6
+
+
+def test_context_refuses_bad_sizes():
+    for sizes in ({"max_order": 0}, {"max_order": 7}, {"samples": -1}):
+        with pytest.raises(ValueError):
+            VerifyContext(**sizes)
+    # The ends of the accepted range; no graph is built until asked.
+    VerifyContext(max_order=1, samples=0)
+    VerifyContext(max_order=6)
+
+
+def test_battery_computes_twins_once_per_graph(monkeypatch):
+    from collections import Counter
+
+    import resolvedim
+    from resolvedim import graphs, verify
+
+    twins = Counter()
+    partition = graphs.twin_partition
+    flatten = verify.flatten_path_cycle_broadcast
+    flattening = []
+
+    def counted(g):
+        if not flattening:
+            twins[g] += 1
+        return partition(g)
+
+    def flatten_apart(g, f):
+        # Flattening takes no distance matrix and builds its own, whose
+        # twins its fallback solve computes; those are not the memo's.
+        flattening.append(g)
+        try:
+            return flatten(g, f)
+        finally:
+            flattening.pop()
+
+    # Every module of the package that binds the function gets the counter.
+    for modname in ("formulas", "graphs", "resolution", "solvers", "verify"):
+        module = getattr(resolvedim, modname)
+        if getattr(module, "twin_partition", None) is partition:
+            monkeypatch.setattr(module, "twin_partition", counted)
+    monkeypatch.setattr(verify, "flatten_path_cycle_broadcast", flatten_apart)
+    ctx = VerifyContext(max_order=4, samples=5, seed=0)
+    results = run_suites(None, ctx)
+    assert all(r.ok for r in results)
+    memo = ctx._dist
+    assert memo and all(twins[g] <= 1 for g in memo)
+    assert sum(twins[g] for g in memo) > len(memo) // 2
