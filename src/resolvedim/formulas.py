@@ -166,10 +166,11 @@ def closed_form(query: FormulaQuery) -> FormulaResult:
     return fn(query.kind, dict(query.params))
 
 
-def tree_dim(g: Graph) -> int:
+def tree_dim(g: Graph, d: Optional[DistanceMatrix] = None) -> int:
     """Return the metric dimension of a tree: 1 for paths, otherwise the
-    number of leaves minus the number of exterior major vertices."""
-    prof = tree_profile(g)
+    number of leaves minus the number of exterior major vertices. The tree
+    profile comes from the distance matrix `d` if given."""
+    prof = tree_profile(g) if d is None else d.tree
     if not prof.is_tree:
         raise ValueError("graph is not a tree")
     if g.n == 1:
@@ -329,11 +330,12 @@ def adim_labeling_certificate(g: Graph, x: Iterable[int]) -> dict[int, str]:
     return labels
 
 
-def verify_zhang_structure(t: Graph, w: Iterable[int]) -> bool:
+def verify_zhang_structure(t: Graph, w: Iterable[int], d: Optional[DistanceMatrix] = None) -> bool:
     """Check the structure of a minimum resolving set of a tree: one
     vertex on every leg of every exterior major vertex except exactly one
-    empty leg each, and nothing anywhere else."""
-    prof = tree_profile(t)
+    empty leg each, and nothing anywhere else. The tree profile comes from
+    the distance matrix `d` if given."""
+    prof = tree_profile(t) if d is None else d.tree
     if not prof.is_tree:
         raise ValueError("graph is not a tree")
     if prof.ex == 0:
@@ -367,14 +369,15 @@ class SpiderBdim:
     detail: str = ""
 
 
-def spider_bdim(t: Graph) -> SpiderBdim:
+def spider_bdim(t: Graph, d: Optional[DistanceMatrix] = None) -> SpiderBdim:
     """Return x - 1 with its witness for a star on x >= 3 legs with at
     most x - 1 legs subdivided once, or 1 for the two shortest paths.
 
     The witness puts strength 1 on every neighbour of the center except
     the lowest-numbered adjacent leaf (paths: on the lowest end vertex).
+    The tree profile comes from the distance matrix `d` if given.
     """
-    prof = tree_profile(t)
+    prof = tree_profile(t) if d is None else d.tree
     if not prof.is_tree:
         raise ValueError("graph is not a tree")
     n = t.n

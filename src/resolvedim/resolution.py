@@ -4,10 +4,10 @@ broadcast tells every pair of vertices apart.
 A broadcast assigns each vertex a nonnegative strength f(v); a vertex z
 with f(z) = i contributes the entry min(d(v, z), i + 1) to every code,
 with unreachable pairs pinned at i + 1. A landmark set is a broadcast
-of one uniform strength, and every check builds its codes in one place,
-`_verdict`: metric codes put each landmark at strength n - 1 (truncating
-at n leaves a row, sentinel included, as it is) and adjacency codes at
-strength 1.
+of one uniform strength, and every code is built in one place,
+`_code_table`: metric codes put each landmark at strength n - 1
+(truncating at n leaves a row, sentinel included, as it is) and
+adjacency codes at strength 1.
 """
 
 from __future__ import annotations
@@ -67,12 +67,30 @@ def _check_broadcast(g: Graph, f) -> tuple[int, ...]:
     return vals
 
 
+def _code_table(
+    g: Graph, d: Optional[DistanceMatrix], support: Iterable[tuple[int, int]]
+) -> list[tuple[int, ...]]:
+    """Return every vertex's code under the (landmark, strength) pairs:
+    one entry per pair, the landmark's row truncated at its strength + 1."""
+    if d is None:
+        d = all_pairs_distances(g)
+    return list(zip(*(truncated_row(d.dist[z], x, g.n) for z, x in support)))
+
+
+def broadcast_codes(g: Graph, d: Optional[DistanceMatrix], f) -> list[tuple[int, ...]]:
+    """Return the code of every vertex, in vertex order, checking the
+    broadcast once; each code has one truncated distance per support
+    vertex, in ascending support order."""
+    vals = _check_broadcast(g, f)
+    return _code_table(g, d, ((z, x) for z, x in enumerate(vals) if x))
+
+
 def broadcast_code(g: Graph, d: DistanceMatrix, f, v: int) -> tuple[int, ...]:
     """Return v's code: one truncated distance per support vertex, in
     ascending support order."""
-    vals = _check_broadcast(g, f)
-    # Each entry is the one-entry row d(z, v), truncated at x + 1.
-    return tuple(truncated_row(d.dist[z][v : v + 1], x, g.n)[0] for z, x in enumerate(vals) if x)
+    if not 0 <= v < g.n:
+        raise IndexError(f"vertex {v} out of range")
+    return broadcast_codes(g, d, f)[v]
 
 
 def _first_collision(codes: Iterable[tuple[int, ...]]) -> Optional[tuple[int, int]]:
@@ -94,9 +112,7 @@ def _verdict(g: Graph, d: Optional[DistanceMatrix], support: Iterable[tuple[int,
     """Decide whether the (landmark, strength) pairs give every vertex a
     distinct code, each landmark contributing its row truncated at its
     strength + 1."""
-    if d is None:
-        d = all_pairs_distances(g)
-    pair = _first_collision(zip(*(truncated_row(d.dist[z], x, g.n) for z, x in support)))
+    pair = _first_collision(_code_table(g, d, support))
     return Verdict(pair is None, pair)
 
 

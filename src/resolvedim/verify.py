@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import combinations, product
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Union
 
 from . import families, formulas
 from .graphs import (
@@ -26,7 +26,7 @@ from .graphs import (
     delta_prime,
     truncated_row,
 )
-from .resolution import broadcast_code, counting_feasible, is_resolving_broadcast
+from .resolution import broadcast_codes, counting_feasible, is_resolving_broadcast
 from .solvers import (
     broadcast_value_caps,
     delete_edge,
@@ -42,11 +42,21 @@ from .solvers import (
 
 @dataclass
 class Check:
-    """One verified instance; failing checks carry a replayable detail."""
+    """One verified instance; failing checks carry a replayable detail.
 
-    instance: str
+    `label` names the instance, or is the graph checked, whose replayable
+    literal `instance` spells out only when read: the battery reports
+    failing checks alone.
+    """
+
+    label: Union[str, Graph]
     passed: bool
     detail: str = ""
+
+    @property
+    def instance(self) -> str:
+        label = self.label
+        return label if isinstance(label, str) else _describe(label)
 
 
 @dataclass
@@ -210,13 +220,13 @@ def suite_chain(ctx: VerifyContext) -> Iterator[Check]:
     for g in ctx.battery():
         if g.n == 1:
             vals = (ctx.solve("dim", g), ctx.solve("adim", g), ctx.solve("bdim", g))
-            yield Check(_describe(g), vals == (1, 1, 1), f"order-1 convention got {vals}")
+            yield Check(g, vals == (1, 1, 1), f"order-1 convention got {vals}")
             continue
         dim = ctx.solve("dim", g)
         bdim = ctx.solve("bdim", g)
         adim = ctx.solve("adim", g)
         ok = dim <= bdim <= adim <= g.n - 1
-        yield Check(_describe(g), ok, f"dim={dim} bdim={bdim} adim={adim}")
+        yield Check(g, ok, f"dim={dim} bdim={bdim} adim={adim}")
 
 
 def suite_diam_collapse(ctx: VerifyContext) -> Iterator[Check]:
@@ -225,14 +235,14 @@ def suite_diam_collapse(ctx: VerifyContext) -> Iterator[Check]:
         if g.n < 2 or not prof.connected or prof.diameter > 2:
             continue
         vals = {ctx.solve("dim", g), ctx.solve("adim", g), ctx.solve("bdim", g)}
-        yield Check(_describe(g), len(vals) == 1, f"values {sorted(vals)}")
+        yield Check(g, len(vals) == 1, f"values {sorted(vals)}")
 
 
 def suite_complement_adim(ctx: VerifyContext) -> Iterator[Check]:
     for g in ctx.battery():
         a = ctx.solve("adim", g)
         b = ctx.solve("adim", complement(g))
-        yield Check(_describe(g), a == b, f"adim={a} complement={b}")
+        yield Check(g, a == b, f"adim={a} complement={b}")
 
 
 def suite_twin_distance(ctx: VerifyContext) -> Iterator[Check]:
@@ -248,7 +258,7 @@ def suite_twin_distance(ctx: VerifyContext) -> Iterator[Check]:
                     break
             if bad:
                 break
-        yield Check(_describe(g), not bad, bad)
+        yield Check(g, not bad, bad)
 
 
 def suite_twin_support(ctx: VerifyContext) -> Iterator[Check]:
@@ -268,7 +278,7 @@ def suite_twin_support(ctx: VerifyContext) -> Iterator[Check]:
                 ok = False
                 detail = f"pair ({u},{w}) gave {verdict}"
                 break
-        yield Check(_describe(g), ok, detail)
+        yield Check(g, ok, detail)
 
 
 def suite_truncation(ctx: VerifyContext) -> Iterator[Check]:
@@ -290,7 +300,7 @@ def suite_truncation(ctx: VerifyContext) -> Iterator[Check]:
                     elif real >= n and got != k + 1:
                         detail = f"d_k({x},{y}) infinite pair not pinned at k+1={k + 1}"
                 prev = cut
-        yield Check(_describe(g), not detail, detail)
+        yield Check(g, not detail, detail)
 
 
 def suite_counting_witness(ctx: VerifyContext) -> Iterator[Check]:
@@ -299,7 +309,7 @@ def suite_counting_witness(ctx: VerifyContext) -> Iterator[Check]:
             continue
         witness = ctx.result("bdim", g).witness
         ok = counting_feasible(g, witness)
-        yield Check(_describe(g), ok, f"witness {witness.values}")
+        yield Check(g, ok, f"witness {witness.values}")
 
 
 def suite_broadcast_monotone(ctx: VerifyContext) -> Iterator[Check]:
@@ -317,7 +327,7 @@ def suite_broadcast_monotone(ctx: VerifyContext) -> Iterator[Check]:
                 ok = False
                 detail = f"raising vertex {v} broke resolution"
                 break
-        yield Check(_describe(g), ok, detail)
+        yield Check(g, ok, detail)
 
 
 def suite_bdim_sandwich(ctx: VerifyContext) -> Iterator[Check]:
@@ -332,7 +342,7 @@ def suite_bdim_sandwich(ctx: VerifyContext) -> Iterator[Check]:
             high = bdim <= ctx.solve("dim", g) * (diam - 1)
         else:
             high = True
-        yield Check(_describe(g), low and high, f"d={diam} bdim={bdim}")
+        yield Check(g, low and high, f"d={diam} bdim={bdim}")
 
 
 def suite_deltaprime_ratio(ctx: VerifyContext) -> Iterator[Check]:
@@ -343,7 +353,7 @@ def suite_deltaprime_ratio(ctx: VerifyContext) -> Iterator[Check]:
         adim = ctx.solve("adim", g)
         bdim = ctx.solve("bdim", g)
         ok = adim <= (dp + 1) * bdim
-        yield Check(_describe(g), ok, f"adim={adim} deltaprime={dp} bdim={bdim}")
+        yield Check(g, ok, f"adim={adim} deltaprime={dp} bdim={bdim}")
 
 
 def suite_order_bounds(ctx: VerifyContext) -> Iterator[Check]:
@@ -358,7 +368,7 @@ def suite_order_bounds(ctx: VerifyContext) -> Iterator[Check]:
             d=ctx.dist(g),
         )
         bad = [r.id for r in records if r.applicable and not r.holds]
-        yield Check(_describe(g), not bad, f"violated: {bad}")
+        yield Check(g, not bad, f"violated: {bad}")
 
 
 def suite_characterizations(ctx: VerifyContext) -> Iterator[Check]:
@@ -367,7 +377,7 @@ def suite_characterizations(ctx: VerifyContext) -> Iterator[Check]:
             g, adim=ctx.solve("adim", g), bdim=ctx.solve("bdim", g)
         )
         bad = [r.id for r in records if not r.consistent]
-        yield Check(_describe(g), not bad, f"inconsistent: {bad}")
+        yield Check(g, not bad, f"inconsistent: {bad}")
 
 
 def suite_cap_safety(ctx: VerifyContext) -> Iterator[Check]:
@@ -391,15 +401,10 @@ def suite_cap_safety(ctx: VerifyContext) -> Iterator[Check]:
             if (before.resolving, before.unresolved_pair) != (after.resolving, after.unresolved_pair):
                 ok, detail = False, f"verdict changed under caps for {vals}"
                 break
-            if connected:
-                same = all(
-                    broadcast_code(g, d, vals, v) == broadcast_code(g, d, capped, v)
-                    for v in range(g.n)
-                )
-                if not same:
-                    ok, detail = False, f"codes changed under caps for {vals}"
-                    break
-        yield Check(_describe(g), ok, detail)
+            if connected and broadcast_codes(g, d, vals) != broadcast_codes(g, d, capped):
+                ok, detail = False, f"codes changed under caps for {vals}"
+                break
+        yield Check(g, ok, detail)
 
 
 def suite_enumeration(ctx: VerifyContext) -> Iterator[Check]:
@@ -410,7 +415,7 @@ def suite_enumeration(ctx: VerifyContext) -> Iterator[Check]:
         cost, found = naive_min_broadcasts(g)
         ok = res.optimal_cost == cost and res.broadcasts == found
         yield Check(
-            _describe(g),
+            g,
             ok,
             f"solver cost={res.optimal_cost} #={len(res.broadcasts)}; naive cost={cost} #={len(found)}",
         )
@@ -434,7 +439,7 @@ def suite_flatten(ctx: VerifyContext) -> Iterator[Check]:
                 if not is_resolving_broadcast(g, f, d):
                     continue
                 processed += 1
-                flat = flatten_path_cycle_broadcast(g, f)
+                flat = flatten_path_cycle_broadcast(g, f, d)
                 ok = (
                     all(x <= 1 for x in flat.values)
                     and flat.cost <= sum(f)
@@ -486,9 +491,9 @@ def suite_family_formulas(ctx: VerifyContext) -> Iterator[Check]:
 
 def suite_tree_dim(ctx: VerifyContext) -> Iterator[Check]:
     for g in ctx.trees():
-        want = formulas.tree_dim(g)
+        want = formulas.tree_dim(g, ctx.dist(g))
         got = ctx.solve("dim", g)
-        yield Check(_describe(g), got == want, f"solver={got} structural={want}")
+        yield Check(g, got == want, f"solver={got} structural={want}")
 
 
 def suite_tree_witness(ctx: VerifyContext) -> Iterator[Check]:
@@ -496,8 +501,8 @@ def suite_tree_witness(ctx: VerifyContext) -> Iterator[Check]:
         if ctx.dist(g).tree.ex == 0:
             continue
         witness = ctx.result("dim", g).witness
-        ok = formulas.verify_zhang_structure(g, witness)
-        yield Check(_describe(g), ok, f"witness {witness}")
+        ok = formulas.verify_zhang_structure(g, witness, ctx.dist(g))
+        yield Check(g, ok, f"witness {witness}")
 
 
 def suite_tree_bdim(ctx: VerifyContext) -> Iterator[Check]:
@@ -506,7 +511,7 @@ def suite_tree_bdim(ctx: VerifyContext) -> Iterator[Check]:
             continue
         dim = ctx.solve("dim", g)
         bdim = ctx.solve("bdim", g)
-        res = formulas.spider_bdim(g)
+        res = formulas.spider_bdim(g, ctx.dist(g))
         equal = dim == bdim
         ok = equal == res.applicable
         detail = f"dim={dim} bdim={bdim} qualifying={res.applicable}"
@@ -518,7 +523,7 @@ def suite_tree_bdim(ctx: VerifyContext) -> Iterator[Check]:
                 and res.witness.cost == bdim
             )
             detail += f" witness={res.witness.values if res.witness else None}"
-        yield Check(_describe(g), ok, detail)
+        yield Check(g, ok, detail)
 
 
 def suite_vertex_deletion(ctx: VerifyContext) -> Iterator[Check]:
@@ -534,7 +539,7 @@ def suite_vertex_deletion(ctx: VerifyContext) -> Iterator[Check]:
             if a > ah + 1:
                 ok, detail = False, f"delete {v}: adim {a} > {ah}+1"
                 break
-        yield Check(_describe(g), ok, detail)
+        yield Check(g, ok, detail)
 
 
 def suite_edge_deletion(ctx: VerifyContext) -> Iterator[Check]:
@@ -555,7 +560,7 @@ def suite_edge_deletion(ctx: VerifyContext) -> Iterator[Check]:
             if dh > dim + 2:
                 ok, detail = False, f"delete {e}: dim {dh} > {dim}+2"
                 break
-        yield Check(_describe(g), ok, detail)
+        yield Check(g, ok, detail)
 
 
 def suite_dimk(ctx: VerifyContext) -> Iterator[Check]:
@@ -578,7 +583,7 @@ def suite_dimk(ctx: VerifyContext) -> Iterator[Check]:
                     ok, detail = False, f"dim_k rose at k={k}"
                     break
                 prev = val
-        yield Check(_describe(g), ok, detail)
+        yield Check(g, ok, detail)
 
 
 def suite_sharp_families(ctx: VerifyContext) -> Iterator[Check]:

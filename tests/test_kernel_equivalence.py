@@ -3,8 +3,8 @@
 `seed_oracle` keeps the scans the solvers used before the incremental
 kernel. Every solver must return the same value, witness, candidate count
 and starting lower bound, and the enumerator the same broadcasts, also
-where the kernel skips subtrees by class count and counts their
-candidates without checking them.
+where the kernel skips subtrees by class count or by pair cover and
+counts their candidates without checking them.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from resolvedim import (
 )
 from resolvedim.graphs import truncated_row
 from resolvedim import solvers
-from resolvedim.solvers import _class_cuts, _pair_table, _separable
+from resolvedim.solvers import _class_cuts, _pair_covers, _pair_table, _separable
 
 
 def _fields(res):
@@ -87,16 +87,18 @@ def test_cycle_and_path_of_order_10():
 
 
 def test_class_count_cut_counts_what_it_skips():
-    # Cycles and paths where the class-count cut skips subtrees: the count
-    # of what it skipped must keep every field equal to the oracle's.
+    # Cycles and paths where the class-count cut or the pair-cover cut
+    # skips subtrees: the count of what they skipped must keep every field
+    # equal to the oracle's.
     c12, c13, c14, c16 = (families.cycle(n) for n in (12, 13, 14, 16))
     p12, p14 = families.path(12), families.path(14)
     cases = [(solve_bdim, seed_oracle.solve_bdim, g, True) for g in (c12, c13, p12)]
     adim, adim_oracle = solve_adim, lambda g, d: seed_oracle.solve_dim_k(g, 1, d)
     cases += [(adim, adim_oracle, g, True) for g in (c12, c14, p12, p14)]
     dim2, dim2_oracle = (lambda g, d: solve_dim_k(g, 2, d)), (lambda g, d: seed_oracle.solve_dim_k(g, 2, d))
-    # On C12 and C14 no node has few enough classes to cut; on C16 some do.
-    cases += [(dim2, dim2_oracle, g, g.n == 16) for g in (c12, c14, c16)]
+    # On C12 neither cut skips a subtree; on C14 the pair-cover cut does,
+    # and on C16 both do.
+    cases += [(dim2, dim2_oracle, g, g.n > 12) for g in (c12, c14, c16)]
     for solve, oracle, g, cuts in cases:
         d = all_pairs_distances(g)
         new = solve(g, d)
@@ -111,8 +113,9 @@ def test_class_count_cut_counts_what_it_skips():
 
 def test_class_count_cut_on_trees_with_twin_leaves():
     # Twin leaves bring twin groups into the counting walk and its memo
-    # key; the cycles and paths above have none. Every solve where the cut
-    # skips a subtree is checked against the oracle.
+    # key; the cycles and paths above have none. Every solve that enters
+    # counting mode, whichever cut sent it there, is checked against the
+    # oracle.
     adim_oracle = lambda g, d: seed_oracle.solve_dim_k(g, 1, d)
     kinds = ((solve_bdim, seed_oracle.solve_bdim), (solve_adim, adim_oracle))
     solves = cut = 0
@@ -128,7 +131,7 @@ def test_class_count_cut_on_trees_with_twin_leaves():
                 if new.candidates_checked < new.candidates_examined:
                     cut += 1
                     assert _fields(new) == _fields(oracle(g, d)), f"{new.kind} on tree n={n} seed={seed}"
-    assert (solves, cut) == (2 * 47, 29)
+    assert (solves, cut) == (2 * 47, 93)
 
 
 def test_pair_separation_test_matches_the_scan():
@@ -143,7 +146,8 @@ def test_pair_separation_test_matches_the_scan():
         d = all_pairs_distances(g)
         for k, oracle in ((n - 1, seed_oracle.solve_dim), (1, None), (2, None), (3, None)):
             value = (oracle(g, d) if oracle else seed_oracle.solve_dim_k(g, k, d)).value
-            seps, covers = _pair_table([truncated_row(row, k, n) for row in d.dist])
+            rows = [truncated_row(row, k, n) for row in d.dist]
+            seps, covers = _pair_table(rows), _pair_covers(rows)
             for budget in range(1, n):
                 assert _separable(seps, covers, budget) == (budget >= value), (
                     f"k={k} budget={budget} n={n} edges={g.edges()}"
@@ -170,9 +174,10 @@ def test_solves_that_prove_levels_empty():
         assert new.candidates_checked < new.candidates_examined
         # The class cut skips nothing here, so the proof made the gap.
         assert not any(_class_cuts((None, [truncated_row(row, k, g.n) for row in d.dist]), g.n, g.n))
-    # The class cut works on adim of C17 and P17, so the proof leaves them alone.
-    assert solve_adim(families.cycle(17)).candidates_checked == 774
-    assert solve_adim(families.path(17)).candidates_checked == 992
+    # The class cut works on adim of C17 and P17, so the proof leaves them
+    # alone; the class and pair-cover cuts leave these candidates checked.
+    assert solve_adim(families.cycle(17)).candidates_checked == 573
+    assert solve_adim(families.path(17)).candidates_checked == 592
 
 
 def test_no_pair_table_when_the_scan_ends_first(monkeypatch):
@@ -185,3 +190,43 @@ def test_no_pair_table_when_the_scan_ends_first(monkeypatch):
     monkeypatch.setattr(solvers, "_pair_table", refuse)
     res = solve_dim(families.path(300))
     assert (res.value, res.witness, res.candidates_checked) == (1, (0,), 1)
+
+
+def test_pair_cover_cut_keeps_every_field(monkeypatch):
+    # The benchmark ladder's instances (bdim C16, P14 and the 3x5 grid,
+    # adim C17 and P17, dim of G(26, 0.3) on every seed it draws) and bdim
+    # C18 and P16, field for field against the oracle. The pair-cover cut
+    # skips subtrees with an unsplittable pair on bdim P14 and adim P17,
+    # and by packing on the grid.
+    fired = []
+    for name in ("unsplittable", "overpriced"):
+        test = getattr(solvers._PairCover, name)
+
+        def spy(self, codes, z, left, test=test, name=name):
+            skip = test(self, codes, z, left)
+            if skip:
+                fired.append(name)
+            return skip
+
+        monkeypatch.setattr(solvers._PairCover, name, spy)
+    adim_oracle = lambda g, d: seed_oracle.solve_dim_k(g, 1, d)
+    cases = [
+        ("bdim C16", solve_bdim, seed_oracle.solve_bdim, families.cycle(16)),
+        ("bdim P14", solve_bdim, seed_oracle.solve_bdim, families.path(14)),
+        ("bdim grid", solve_bdim, seed_oracle.solve_bdim, families.grid((3, 5))),
+        ("bdim C18", solve_bdim, seed_oracle.solve_bdim, families.cycle(18)),
+        ("bdim P16", solve_bdim, seed_oracle.solve_bdim, families.path(16)),
+        ("adim C17", solve_adim, adim_oracle, families.cycle(17)),
+        ("adim P17", solve_adim, adim_oracle, families.path(17)),
+    ]
+    for seed in (0, 3, 5, 8, 9, 10, 11, 15, 24, 27, 28, 33, 36, 39, 43, 44):
+        cases.append((f"dim G26 seed {seed}", solve_dim, seed_oracle.solve_dim, families.random_graph(26, 0.3, seed)))
+    skips = {}
+    for label, solve, oracle, g in cases:
+        d = all_pairs_distances(g)
+        fired.clear()
+        new = solve(g, d)
+        skips[label] = set(fired)
+        assert _fields(new) == _fields(oracle(g, d)), label
+    assert "unsplittable" in skips["bdim P14"] and "unsplittable" in skips["adim P17"]
+    assert "overpriced" in skips["bdim grid"]

@@ -12,6 +12,7 @@ from resolvedim import (
     all_pairs_distances,
     build_graph,
     broadcast_code,
+    broadcast_codes,
     counting_feasible,
     disjoint_union,
     families,
@@ -145,3 +146,18 @@ def test_set_checks_match_definitions_up_to_order_5():
                         assert revalidate(g, adim, d=d) == (adjacency is None)
                     count += 1
     assert count == 32_767
+
+
+def test_broadcast_codes_table():
+    g = families.path(5)
+    d = all_pairs_distances(g)
+    f = (1, 0, 1, 0, 0)
+    table = broadcast_codes(g, d, f)
+    assert table == [broadcast_code(g, d, f, v) for v in range(5)]
+    assert table == broadcast_codes(g, None, Broadcast(f))
+    for bad in ((0, 0, 0, 0, 0), (1, -1, 0, 0, 0), (1, 0, 0)):
+        with pytest.raises(ValueError):
+            broadcast_codes(g, d, bad)
+    for v in (-1, 5):
+        with pytest.raises(IndexError):
+            broadcast_code(g, d, f, v)

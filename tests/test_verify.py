@@ -74,39 +74,53 @@ def test_context_refuses_bad_sizes():
 
 
 def test_battery_computes_twins_once_per_graph(monkeypatch):
+    # Each graph the context memoises gets at most one BFS and one twin
+    # partition, however many suites and solves read it: the flatten and
+    # tree suites pass the memoised bundle on too.
     from collections import Counter
 
     import resolvedim
-    from resolvedim import graphs, verify
+    from resolvedim import graphs
 
-    twins = Counter()
-    partition = graphs.twin_partition
-    flatten = verify.flatten_path_cycle_broadcast
-    flattening = []
+    twins, bfs = Counter(), Counter()
+    partition, distances = graphs.twin_partition, graphs.all_pairs_distances
 
-    def counted(g):
-        if not flattening:
-            twins[g] += 1
+    def counted_twins(g):
+        twins[g] += 1
         return partition(g)
 
-    def flatten_apart(g, f):
-        # Flattening takes no distance matrix and builds its own, whose
-        # twins its fallback solve computes; those are not the memo's.
-        flattening.append(g)
-        try:
-            return flatten(g, f)
-        finally:
-            flattening.pop()
+    def counted_bfs(g):
+        bfs[g] += 1
+        return distances(g)
 
-    # Every module of the package that binds the function gets the counter.
+    # Every module of the package that binds a function gets its counter.
     for modname in ("formulas", "graphs", "resolution", "solvers", "verify"):
         module = getattr(resolvedim, modname)
-        if getattr(module, "twin_partition", None) is partition:
-            monkeypatch.setattr(module, "twin_partition", counted)
-    monkeypatch.setattr(verify, "flatten_path_cycle_broadcast", flatten_apart)
+        for name, fn, counted in (
+            ("twin_partition", partition, counted_twins),
+            ("all_pairs_distances", distances, counted_bfs),
+        ):
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counted)
     ctx = VerifyContext(max_order=4, samples=5, seed=0)
     results = run_suites(None, ctx)
     assert all(r.ok for r in results)
     memo = ctx._dist
-    assert memo and all(twins[g] <= 1 for g in memo)
+    assert memo and all(twins[g] <= 1 and bfs[g] <= 1 for g in memo)
     assert sum(twins[g] for g in memo) > len(memo) // 2
+    assert sum(bfs[g] for g in memo) == len(memo)
+
+
+def test_graph_checks_spell_out_their_label_only_when_read(monkeypatch):
+    from resolvedim import build_graph, verify
+    from resolvedim.verify import Check
+
+    g = build_graph(3, [(0, 1), (1, 2)])
+    assert Check(g, False, "boom").instance == "n=3 edges=[(0, 1), (1, 2)]"
+    assert Check("grid 2x2x2", False).instance == "grid 2x2x2"
+    # A passing battery builds no label: only failures are reported.
+    labels = []
+    describe = verify._describe
+    monkeypatch.setattr(verify, "_describe", lambda h: labels.append(h) or describe(h))
+    results = run_suites(None, VerifyContext(max_order=3, samples=2, seed=0))
+    assert all(r.ok for r in results) and not labels
