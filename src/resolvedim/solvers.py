@@ -54,18 +54,17 @@ cut is idle and that level lies above the first one scanned
 (`_level_proof`); below it the scan runs as before. So the counts stay
 the same, and `candidates_checked` leaves out the proved levels too.
 
-The same pair view cuts inside the scan, for all four parameters
-(`_PairCover`). Below a node whose last support vertex is z, with cost
-left >= 2, every pair of vertices whose codes are still equal must be
-split by a landmark above z, at a strength no higher than the cost left
-or its cap. The subtree is skipped when some pair has no such landmark,
-which one class list per strength decides for every pair at once, or
-when a greedy packing of pairs with disjoint splitting landmarks costs
-more than is left, each pair at the least strength that splits it. Its
-candidates are counted as at a class cut. The packing reads the pair
-tables, one per strength for bdim; a subset search has one, shared with
-the proof. Each test starts only once the scan has checked as many
-candidates as its tables have entries, so tiny solves build none.
+The same pair view cuts inside the scan, for all four parameters: the
+split cut. Below a node whose last support vertex is z, with cost r >= 2
+left, every pair of vertices whose codes are still equal must be split
+by a landmark above z. A landmark that splits a pair at some strength
+splits it at every higher one, so none can do more than at strength
+min(r, its cap). The subtree is skipped when some pair has no such
+landmark, which one class list per strength decides for every pair at
+once (`_split_classes`); its candidates are counted as at a class cut.
+The test starts once the scan has checked n**2 candidates per strength
+the level reads, as many as those class lists have entries, so a tiny
+solve builds none. Only the proof reads pair tables.
 
 Order-1 graphs take value 1 by convention for all parameters.
 """
@@ -92,8 +91,8 @@ class SolverResult:
     candidates_examined: int
     lower_bound_used: int
     # The candidates whose codes were compared; the rest of those examined
-    # were counted in subtrees the class-count or pair-cover cut skipped, or
-    # in levels the pair-separation proof showed empty.
+    # were counted in subtrees the class-count or split cut skipped, or in
+    # levels the pair-separation proof showed empty.
     candidates_checked: int
 
 
@@ -135,82 +134,19 @@ def _class_cuts(rows, n: int, upto: int) -> list[int]:
     return [0, 0] + [n - b for b in best[2:]]
 
 
-class _PairCover:
-    """The pair-cover cut of one search over `rows` and `caps` (see
-    `_search`): below a node whose last support vertex is z, with `left`
-    still to spend, the vertices above z must split every pair of vertices
-    whose codes are still equal. A landmark w splits a pair at strength i
-    only if it splits it at every strength above i, so w can do no more
-    than at strength min(left, caps[w]). The class lists and pair tables
-    it reads are built per strength on first use.
-    """
-
-    def __init__(self, rows, caps: Sequence[int], base: int) -> None:
-        self.rows = rows
-        self.caps = caps
-        self.base = base
-        self.n = len(caps)
-        self.strongest = len(rows) - 1
-        self.classes: dict[int, list[list[int]]] = {}
-        self.tables: dict[int, list[int]] = {}
-
-    def table(self, r: int) -> list[int]:
-        """The `_pair_table` of the landmarks, each landmark w at strength
-        min(r, caps[w]); every r >= max(caps) shares one table."""
-        r = min(r, self.strongest)
-        if r not in self.tables:
-            rows = self.rows
-            self.tables[r] = _pair_table([rows[min(r, cap)][w] for w, cap in enumerate(self.caps)])
-        return self.tables[r]
-
-    def _classes(self, r: int) -> list[list[int]]:
-        """classes[z][x]: the lowest vertex that no landmark w > z, at
-        strength min(r, caps[w]), splits from x."""
-        r = min(r, self.strongest)
-        if r not in self.classes:
-            rows, caps, base, n = self.rows, self.caps, self.base, self.n
-            down = range(n - 1, -1, -1)
-            classes = [[0] * n]
-            for z in down[:-1]:
-                keys = list(map(add, map(mul, classes[-1], repeat(base)), rows[min(r, caps[z])][z]))
-                first = dict(zip(reversed(keys), down))
-                classes.append(list(map(first.__getitem__, keys)))
-            self.classes[r] = classes[::-1]
-        return self.classes[r]
-
-    def unsplittable(self, codes, z: int, left: int) -> bool:
-        """Whether some pair with equal `codes` has no landmark above z
-        that splits it: then even every landmark above z at its strongest
-        leaves the codes equal. Codes are multiples of `base`, and the class
-        ids lie below it, so their sums repeat exactly then."""
-        return len(set(map(add, codes, self._classes(left)[z]))) < self.n
-
-    def overpriced(self, codes, z: int, left: int) -> bool:
-        """Whether a greedy packing of pairs with equal `codes`, whose sets
-        of splitting landmarks above z are pairwise disjoint, costs more
-        than `left`. Each packed pair needs a landmark of its own, at no
-        less than the least strength at which a landmark above z splits
-        it (1 for sets). Only the pairs of each vertex with its code's
-        first holder are read, in vertex order; every pair has a splitting
-        landmark, as `unsplittable` does not hold."""
-        n = self.n
-        first = dict(zip(reversed(codes), range(n - 1, -1, -1)))  # each code's lowest holder
-        avail = (1 << n) - (2 << z)
-        seps = self.table(left)
-        used = spent = 0
-        for x, u in enumerate(map(first.__getitem__, codes)):
-            if u != x:
-                p = (u * (2 * n - 3 - u) >> 1) + x - 1  # (u, x) in `combinations` order
-                sep = seps[p] & avail
-                if not sep & used:
-                    used |= sep
-                    r = 1
-                    while not self.table(r)[p] & avail:
-                        r += 1
-                    spent += r
-                    if spent > left:
-                        return True
-        return False
+def _split_classes(rows, caps: Sequence[int], base: int, r: int) -> list[list[int]]:
+    """Return classes[z][x]: the lowest vertex that no landmark w > z, at
+    strength min(r, caps[w]), splits from x, for r < len(rows). Codes that
+    are multiples of `base` repeat when offset by classes[z] exactly when
+    some pair with equal codes has no landmark above z that splits it."""
+    n = len(caps)
+    down = range(n - 1, -1, -1)
+    classes = [[0] * n]
+    for z in down[:-1]:
+        keys = list(map(add, map(mul, classes[-1], repeat(base)), rows[min(r, caps[z])][z]))
+        first = dict(zip(reversed(keys), down))
+        classes.append(list(map(first.__getitem__, keys)))
+    return classes[::-1]
 
 
 def _search(
@@ -222,15 +158,14 @@ def _search(
     groups,
     descending: bool,
     collect: bool = False,
-    empty: Optional[Callable[[int, _PairCover], bool]] = None,
+    empty: Optional[Callable[[int], bool]] = None,
 ) -> tuple[Optional[int], int, int, list[tuple[tuple[int, int], ...]]]:
     """Scan strength vectors level by level, each cost of `levels` in turn
     and lexicographic order within a cost, for ones whose codes are all
     distinct; stop after the first level that has one. A level for which
-    `empty(cost, cover)` holds is known to have no such vector: its
-    candidates are counted, not checked. `empty` is asked about each level
-    in turn, before it is scanned, and not after a level that resolves; it
-    may read the pair tables of `cover`, the search's `_PairCover`.
+    `empty(cost)` holds is known to have no such vector: its candidates
+    are counted, not checked. `empty` is asked about each level in turn,
+    before it is scanned, and not after a level that resolves.
 
     A vector is built one support vertex at a time: each step picks the
     next vertex z above the previous one and a strength 1 <= v <= caps[z],
@@ -248,15 +183,7 @@ def _search(
     few classes for its remaining cost to finish (`_class_cuts`) no vector
     resolves: the walk goes on there in counting mode, which counts the
     candidates without building or checking codes. So it does below a node
-    with cost left >= 2 whose unsplit pairs the vertices above it cannot
-    all split within that cost (`_PairCover`): some pair has no landmark
-    above that splits it, or a packing of pairs with disjoint splitting
-    landmarks costs more than is left. The first test reads one class list
-    per strength, and starts once the scan has checked n**2 candidates per
-    strength the level reads; the packing reads one pair table per
-    strength, and starts once the scan has checked n * C(n, 2) per
-    strength. Each gate asks for as many checked candidates as its tables
-    have entries, so a tiny solve never builds one. A level `empty` rules
+    that the split cut of the module docstring skips. A level `empty` rules
     out is walked from the root in counting mode. Returns the cost reached
     (None if the levels ran out), the number of candidates examined, how
     many of those were checked, and the resolving vectors at that cost as
@@ -274,20 +201,11 @@ def _search(
     memo: dict[tuple[int, int, int, int, int], int] = {}
     path: list[tuple[int, int]] = []
     found: list[tuple[tuple[int, int], ...]] = []
-    # The pair-cover cut, made when `empty` or the cut first needs it. It
-    # tests splits once `checked` reaches `gate`, and packs pairs once it
-    # reaches `packing`.
-    cover = _PairCover(rows, caps, base) if empty is not None else None
-    gate = packing = 0
-
-    def uncoverable(codes, z: int, left: int) -> bool:
-        """Whether the pair-cover cut skips the node at z with `codes`."""
-        nonlocal cover
-        if cover is None:
-            cover = _PairCover(rows, caps, base)
-        return cover.unsplittable(codes, z, left) or (
-            checked >= packing and cover.overpriced(codes, z, left)
-        )
+    # The split cut tests nodes once `checked` reaches `gate`, each with the
+    # `_split_classes` of its strength, made on first use.
+    split: dict[int, list[list[int]]] = {}
+    strongest = len(rows) - 1
+    gate = 0
 
     def extend(codes, last: int, rem: int, supp: int, weight: int, zeros: int) -> int:
         """Try every way to spend `rem` more on vertices above `last`, and
@@ -370,9 +288,14 @@ def _search(
                         continue
                     nxt = [c * base for c in map(add, codes, rows[v][z])]
                     # The candidates below a cut are counted, not checked.
-                    if (cut[left] > 2 and len(set(nxt)) < cut[left]) or (
-                        left > 1 and checked >= gate and uncoverable(nxt, z, left)
-                    ):
+                    skip = cut[left] > 2 and len(set(nxt)) < cut[left]
+                    if not skip and left > 1 and checked >= gate:
+                        r = left if left < strongest else strongest
+                        classes = split.get(r)
+                        if classes is None:
+                            classes = split[r] = _split_classes(rows, caps, base, r)
+                        skip = len(set(map(add, nxt, classes[z]))) < n
+                    if skip:
                         total += extend(None, z, left, supp, w, skipped)
                         continue
                     path.append((z, v))
@@ -398,16 +321,14 @@ def _search(
     examined = 0
     for cost in levels:
         if cost + (1 << cost) >= need:
-            if empty is not None and empty(cost, cover):
+            if empty is not None and empty(cost):
                 examined += extend(None, -1, cost, 0, 1, 0)
                 continue
             if len(cut) < cost:
                 cut = _class_cuts(rows, n, cost - 1)
-            # The cut reads strengths 1..cost - 1, which take min(cost - 1,
-            # max(caps)) class lists (n * n entries) and pair tables
-            # (n * C(n, 2) entries each).
-            gate = n * n * min(cost - 1, len(rows) - 1)
-            packing = gate * (n - 1) // 2
+            # The split cut reads strengths 1..cost - 1, which take
+            # min(cost - 1, max(caps)) class lists of n * n entries.
+            gate = n * n * min(cost - 1, strongest)
             examined += extend(start, -1, cost, 0, 1, 0)
             if found:
                 return cost, examined, checked, found
@@ -457,7 +378,7 @@ def _solve_truncated(g: Graph, k: int, d: Optional[DistanceMatrix], kind: str) -
     return SolverResult(kind, size, next(zip(*found[0])), examined, lb, checked)
 
 
-def _level_proof(rows, n: int, lb: int, groups) -> Optional[Callable[[int, _PairCover], bool]]:
+def _level_proof(rows, n: int, lb: int, groups) -> Optional[Callable[[int], bool]]:
     """Return the `empty` test of a subset search over the landmark rows
     `rows` from level lb, or None when the proof does not run.
 
@@ -489,14 +410,14 @@ def _level_proof(rows, n: int, lb: int, groups) -> Optional[Callable[[int, _Pair
     big = next((size for size in range(lb, n) if cands[size] > entries), None)
     if big is None or big == lb or any(_class_cuts((None, rows), n, 2)):
         return None
-    covers: list[list[int]] = []  # the table's other half, `_pair_covers`
+    tables: list[list[int]] = []  # `_pair_table` and `_pair_covers`, on first use
 
-    def empty(size: int, cover: _PairCover) -> bool:
+    def empty(size: int) -> bool:
         if size < big:
             return False
-        if not covers:
-            covers.append(_pair_covers(rows))
-        return not _separable(cover.table(1), covers[0], size)
+        if not tables:
+            tables.extend((_pair_table(rows), _pair_covers(rows)))
+        return not _separable(*tables, size)
 
     return empty
 

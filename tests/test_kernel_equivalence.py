@@ -3,7 +3,7 @@
 `seed_oracle` keeps the scans the solvers used before the incremental
 kernel. Every solver must return the same value, witness, candidate count
 and starting lower bound, and the enumerator the same broadcasts, also
-where the kernel skips subtrees by class count or by pair cover and
+where the kernel skips subtrees by class count or by the split cut and
 counts their candidates without checking them.
 """
 
@@ -87,8 +87,8 @@ def test_cycle_and_path_of_order_10():
 
 
 def test_class_count_cut_counts_what_it_skips():
-    # Cycles and paths where the class-count cut or the pair-cover cut
-    # skips subtrees: the count of what they skipped must keep every field
+    # Cycles and paths where the class-count cut or the split cut skips
+    # subtrees: the count of what they skipped must keep every field
     # equal to the oracle's.
     c12, c13, c14, c16 = (families.cycle(n) for n in (12, 13, 14, 16))
     p12, p14 = families.path(12), families.path(14)
@@ -96,7 +96,7 @@ def test_class_count_cut_counts_what_it_skips():
     adim, adim_oracle = solve_adim, lambda g, d: seed_oracle.solve_dim_k(g, 1, d)
     cases += [(adim, adim_oracle, g, True) for g in (c12, c14, p12, p14)]
     dim2, dim2_oracle = (lambda g, d: solve_dim_k(g, 2, d)), (lambda g, d: seed_oracle.solve_dim_k(g, 2, d))
-    # On C12 neither cut skips a subtree; on C14 the pair-cover cut does,
+    # On C12 neither cut skips a subtree; on C14 the split cut does,
     # and on C16 both do.
     cases += [(dim2, dim2_oracle, g, g.n > 12) for g in (c12, c14, c16)]
     for solve, oracle, g, cuts in cases:
@@ -175,7 +175,7 @@ def test_solves_that_prove_levels_empty():
         # The class cut skips nothing here, so the proof made the gap.
         assert not any(_class_cuts((None, [truncated_row(row, k, g.n) for row in d.dist]), g.n, g.n))
     # The class cut works on adim of C17 and P17, so the proof leaves them
-    # alone; the class and pair-cover cuts leave these candidates checked.
+    # alone; the class and split cuts leave these candidates checked.
     assert solve_adim(families.cycle(17)).candidates_checked == 573
     assert solve_adim(families.path(17)).candidates_checked == 592
 
@@ -192,23 +192,10 @@ def test_no_pair_table_when_the_scan_ends_first(monkeypatch):
     assert (res.value, res.witness, res.candidates_checked) == (1, (0,), 1)
 
 
-def test_pair_cover_cut_keeps_every_field(monkeypatch):
+def test_split_cut_keeps_every_field(monkeypatch):
     # The benchmark ladder's instances (bdim C16, P14 and the 3x5 grid,
     # adim C17 and P17, dim of G(26, 0.3) on every seed it draws) and bdim
-    # C18 and P16, field for field against the oracle. The pair-cover cut
-    # skips subtrees with an unsplittable pair on bdim P14 and adim P17,
-    # and by packing on the grid.
-    fired = []
-    for name in ("unsplittable", "overpriced"):
-        test = getattr(solvers._PairCover, name)
-
-        def spy(self, codes, z, left, test=test, name=name):
-            skip = test(self, codes, z, left)
-            if skip:
-                fired.append(name)
-            return skip
-
-        monkeypatch.setattr(solvers._PairCover, name, spy)
+    # C18 and P16, field for field against the oracle.
     adim_oracle = lambda g, d: seed_oracle.solve_dim_k(g, 1, d)
     cases = [
         ("bdim C16", solve_bdim, seed_oracle.solve_bdim, families.cycle(16)),
@@ -221,12 +208,41 @@ def test_pair_cover_cut_keeps_every_field(monkeypatch):
     ]
     for seed in (0, 3, 5, 8, 9, 10, 11, 15, 24, 27, 28, 33, 36, 39, 43, 44):
         cases.append((f"dim G26 seed {seed}", solve_dim, seed_oracle.solve_dim, families.random_graph(26, 0.3, seed)))
-    skips = {}
+    solved = {}
     for label, solve, oracle, g in cases:
         d = all_pairs_distances(g)
-        fired.clear()
-        new = solve(g, d)
-        skips[label] = set(fired)
+        solved[label] = new = solve(g, d)
         assert _fields(new) == _fields(oracle(g, d)), label
-    assert "unsplittable" in skips["bdim P14"] and "unsplittable" in skips["adim P17"]
-    assert "overpriced" in skips["bdim grid"]
+    # The split cut skips subtrees on bdim P14 and adim P17: with class
+    # lists that split every pair it skips none, and more candidates are
+    # checked for the same fields as the oracle's above.
+    def split_all(rows, caps, base, r):
+        return [list(range(len(caps)))] * len(caps)
+
+    monkeypatch.setattr(solvers, "_split_classes", split_all)
+    for label, solve, _, g in (cases[1], cases[6]):
+        new = solve(g)
+        assert new.candidates_checked > solved[label].candidates_checked, label
+        assert _fields(new) == _fields(solved[label]), label
+
+
+def test_bdim_never_builds_a_pair_table(monkeypatch):
+    # Only the set proof reads pair tables; bdim and the enumerator cut
+    # with the split cut's class lists alone, and solve as before.
+    def refuse(*args):
+        raise AssertionError("built")
+
+    graphs = [families.grid((3, 5)), families.cycle(16), families.path(14)]
+    c10 = families.cycle(10)
+    before = [solve_bdim(g) for g in graphs], enumerate_min_broadcasts(c10)
+    monkeypatch.setattr(solvers, "_pair_table", refuse)
+    assert ([solve_bdim(g) for g in graphs], enumerate_min_broadcasts(c10)) == before
+    # The split cut's gate: no solve of a graph of order 5 or less checks
+    # as many candidates as the class lists it would build have entries.
+    monkeypatch.setattr(solvers, "_split_classes", refuse)
+    for g in _labelled_graphs(5):
+        d = all_pairs_distances(g)
+        for solve in (solve_dim, solve_adim, solve_bdim, enumerate_min_broadcasts):
+            solve(g, d)
+        for k in (2, 3):
+            solve_dim_k(g, k, d)
