@@ -6,6 +6,9 @@ suite), 3 input error (unreadable or malformed graph, a graph of order
 above `graphio.MAX_ORDER` = 2000, bad parameter values, a verify
 `--max-order` outside 1..6 or a negative `--samples`), 4 verification
 failure (a suite or a witness check failed).
+
+Every `--format json` output is one compact line of JSON with sorted
+keys, written by `_dumps`; `python -m json.tool` pretty-prints it.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import functools
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from . import __version__, families, formulas, graphio
@@ -33,6 +36,12 @@ from .verify import SUITES, VerifyContext, run_suites
 SCHEMA = "resolvedim.report/1"
 
 
+def _dumps(payload) -> str:
+    """Encode a JSON report. Without `indent` CPython's C encoder runs;
+    with it json falls back to its pure-Python encoder."""
+    return json.dumps(payload, sort_keys=True)
+
+
 @dataclass
 class Report:
     """JSON-serializable record of one solve; round-trips losslessly."""
@@ -48,7 +57,9 @@ class Report:
     tool_version: str = __version__
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2)
+        # Every field holds JSON-native values, so a shallow dict will do;
+        # `dataclasses.asdict` would deep-copy each leaf.
+        return _dumps({f.name: getattr(self, f.name) for f in fields(self)})
 
     @classmethod
     def from_json(cls, text: str) -> "Report":
@@ -141,29 +152,31 @@ def _solve_command(args: argparse.Namespace) -> int:
         print("error: solver witness failed re-validation", file=sys.stderr)
         return 4
     witness = list(res.witness.values) if args.command == "bdim" else list(res.witness)
-    stats = {
-        "candidates_examined": res.candidates_examined,
-        "candidates_checked": res.candidates_checked,
-        "lower_bound_used": res.lower_bound_used,
-        "order": g.n,
-        "size": g.m,
-    }
-    if args.command == "dimk":
-        stats["k"] = args.k
-    report = Report(
-        input=f"{args.graph} n={g.n} m={g.m}",
-        parameter=res.kind,
-        value=res.value,
-        witness=witness,
-        stats=stats,
-        bounds=_bounds_payload(g, args.command, res.value, d),
-        timing_ms=elapsed,
-    )
+    source = f"{args.graph} n={g.n} m={g.m}"
     if args.format == "json":
+        stats = {
+            "candidates_examined": res.candidates_examined,
+            "candidates_checked": res.candidates_checked,
+            "lower_bound_used": res.lower_bound_used,
+            "order": g.n,
+            "size": g.m,
+        }
+        if args.command == "dimk":
+            stats["k"] = args.k
+        report = Report(
+            input=source,
+            parameter=res.kind,
+            value=res.value,
+            witness=witness,
+            stats=stats,
+            # Only the JSON report carries the bound scorecard.
+            bounds=_bounds_payload(g, args.command, res.value, d),
+            timing_ms=elapsed,
+        )
         _emit(report.to_json(), args.output)
     else:
         lines = [
-            f"graph: {report.input}",
+            f"graph: {source}",
             f"{res.kind} = {res.value}",
             f"witness: {witness}",
             f"examined {res.candidates_examined} candidates, checked {res.candidates_checked}"
@@ -190,7 +203,7 @@ def _enum_command(args: argparse.Namespace) -> int:
         "timing_ms": elapsed,
     }
     if args.format == "json":
-        _emit(json.dumps(payload, sort_keys=True, indent=2), args.output)
+        _emit(_dumps(payload), args.output)
     else:
         lines = [
             f"graph: {payload['input']}",
@@ -218,7 +231,7 @@ def _formula_command(args: argparse.Namespace) -> int:
         "detail": res.detail,
     }
     if args.format == "json":
-        _emit(json.dumps(payload, sort_keys=True, indent=2), args.output)
+        _emit(_dumps(payload), args.output)
     elif res.applicable:
         _emit(f"{args.param}({args.family} {query.params}) = {res.value}", args.output)
     else:
@@ -263,7 +276,7 @@ def _verify_command(args: argparse.Namespace) -> int:
                 for r in results
             ],
         }
-        _emit(json.dumps(payload, sort_keys=True, indent=2), args.output)
+        _emit(_dumps(payload), args.output)
     else:
         lines = []
         for r in results:

@@ -240,17 +240,9 @@ def delta_prime(g: Graph, d: Optional[DistanceMatrix] = None) -> int:
     j >= 1 from one vertex (0 when no finite positive distances exist)."""
     if d is None:
         d = all_pairs_distances(g)
-    n = g.n
-    best = 0
-    for v in range(n):
-        counts: dict[int, int] = {}
-        for x in range(n):
-            j = d.dist[v][x]
-            if 1 <= j < n:
-                counts[j] = counts.get(j, 0) + 1
-        if counts:
-            best = max(best, max(counts.values()))
-    return best
+    # Entry 0 is the vertex itself and entry n the unreachable sentinel.
+    skip = {0, g.n}
+    return max((row.count(j) for row in d.dist for j in set(row) - skip), default=0)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
 """Parser round-trips and end-to-end command-line runs (in process)."""
 
+import dataclasses
 import io
 import json
 
 import pytest
 
-from resolvedim import cli, families, graphio
+from resolvedim import cli, families, formulas, graphio
 from resolvedim.cli import Report, main
 from resolvedim.verify import Check, SuiteResult
 
@@ -101,6 +102,55 @@ def test_solve_bdim_json(tmp_path, capsys):
     assert report.witness == [0, 0, 1, 0, 1, 0]
     assert report.schema == "resolvedim.report/1"
     assert any(b["id"] == "capacity-bdim" and b["holds"] for b in report.bounds)
+
+
+def test_text_solve_skips_the_bound_scorecard(tmp_path, monkeypatch, capsys):
+    g = families.cycle(7)
+    path = _write_graph(tmp_path, g)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the text report computed the bound scorecard")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(formulas, "bound_report", refuse)
+        assert main(["dim", path]) == 0
+    assert "dim = " in capsys.readouterr().out
+    assert main(["dim", path, "--format", "json"]) == 0
+    report = Report.from_json(capsys.readouterr().out)
+    records = formulas.bound_report(g, dim=report.value)
+    assert report.bounds == [
+        {
+            "id": r.id,
+            "applicable": r.applicable,
+            "lhs": r.lhs,
+            "rhs": r.rhs,
+            "holds": r.holds if r.applicable else None,
+            "note": r.note,
+        }
+        for r in records
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bdim", "SPIDER"],
+        ["enum-min", "SPIDER"],
+        ["formula", "--param", "bdim", "--family", "path", "--params", "n=9"],
+        ["verify", "--max-order", "3"],
+    ],
+)
+def test_json_output_is_one_compact_sorted_line(argv, tmp_path, capsys):
+    spider = families.generate(families.FamilySpec("spider", {"x": 4, "s": 2}))
+    path = _write_graph(tmp_path, spider)
+    argv = [path if a == "SPIDER" else a for a in argv]
+    assert main([*argv, "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("\n") and out.count("\n") == 1
+    payload = json.loads(out)
+    assert out[:-1] == json.dumps(payload, sort_keys=True)
+    if argv[0] == "bdim":
+        assert payload == dataclasses.asdict(Report.from_json(out))
 
 
 def test_solve_reads_stdin(monkeypatch, capsys):

@@ -135,6 +135,28 @@ def test_delta_prime_values():
     assert delta_prime(families.star(4)) == 4
     assert delta_prime(families.path(2)) == 1
     assert delta_prime(families.cycle(5)) == 2
+    # Every labelled graph of order <= 5, disconnected ones included,
+    # against a count over Floyd-Warshall distances.
+    count = 0
+    for n in range(6):
+        slots = list(combinations(range(n), 2))
+        for mask in range(2 ** len(slots)):
+            edges = [slots[i] for i in range(len(slots)) if mask >> i & 1]
+            far = float("inf")
+            dist = [[0 if x == y else far for y in range(n)] for x in range(n)]
+            for x, y in edges:
+                dist[x][y] = dist[y][x] = 1
+            for z in range(n):
+                for x in range(n):
+                    for y in range(n):
+                        dist[x][y] = min(dist[x][y], dist[x][z] + dist[z][y])
+            expected = max(
+                (sum(dist[v][x] == j for x in range(n)) for v in range(n) for j in range(1, n)),
+                default=0,
+            )
+            assert delta_prime(build_graph(n, edges)) == expected, (n, edges)
+            count += 1
+    assert count == 1_100
 
 
 def test_tree_profile_path_and_spider():
