@@ -117,7 +117,7 @@ class DistanceMatrix:
                     path.append(cur)
                 path.reverse()
                 legs.append(tuple(path[1:]))
-            exterior.append(ExteriorMajor(v, tuple(terms), len(terms), tuple(legs)))
+            exterior.append(ExteriorMajor(v, tuple(terms), tuple(legs)))
         spider = None
         if len(majors) == 1:
             c = majors[0]
@@ -263,7 +263,6 @@ class ExteriorMajor:
 
     vertex: int
     terminals: tuple[int, ...]
-    terminal_degree: int
     legs: tuple[tuple[int, ...], ...]
 
 

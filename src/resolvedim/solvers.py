@@ -18,8 +18,12 @@ the next support vertex and its strength and refines every vertex's code
 by that one landmark; codes are ints, `code * base + entry`, built with
 one C-level `map(add, ...)` per step, and a vector resolves when
 `len(set(map(add, prefix, row))) == n`. The first resolving vector is
-therefore the lexicographically least witness; `enumerate_min_broadcasts`
-runs the same search but collects every resolving vector.
+therefore the lexicographically least witness. `enumerate_min_broadcasts`
+is bdim's search with collect (`_broadcast_search`): the same caps, rows
+and starting lower bound, but it keeps every resolving vector of the
+first cost that has one. No minimum broadcast exceeds the caps and every
+resolving broadcast meets the bound, so that cost is bdim and those
+vectors are all of its minimum broadcasts.
 
 A vector is a candidate unless it leaves two members of one twin group
 at strength 0 or, for bdim and the enumerator, fails the counting
@@ -153,10 +157,8 @@ def _search(
     rows,
     caps: Sequence[int],
     levels: Iterable[int],
-    base: int,
-    need: int,
     groups,
-    descending: bool,
+    broadcast: bool,
     collect: bool = False,
     empty: Optional[Callable[[int], bool]] = None,
 ) -> tuple[Optional[int], int, int, list[tuple[tuple[int, int], ...]]]:
@@ -170,26 +172,29 @@ def _search(
     A vector is built one support vertex at a time: each step picks the
     next vertex z above the previous one and a strength 1 <= v <= caps[z],
     and refines every vertex's code with the row `rows[v][z]`. Codes are
-    ints, `code * base + entry`, so `base` must exceed every row entry.
-    With `descending` the next vertex is tried from the top down and
-    strengths from the bottom up, which is ascending value-vector order;
-    otherwise vertices go up (all caps 1), which is ascending sorted-subset
+    ints, `code * base + entry` with base = n + 1: no row entry exceeds the
+    sentinel n. For a `broadcast` the next vertex is tried from the top down
+    and strengths from the bottom up, which is ascending value-vector order;
+    for a set (all caps 1) vertices go up, which is ascending sorted-subset
     order.
 
     A vector is a candidate unless it leaves two members of one group of
-    `groups` at strength 0, or it fails `|supp| + prod(f + 1) >= need`;
-    groups of one vertex constrain nothing. A subtree is cut only when none
-    of its vectors can be a candidate. Below a node whose codes have too
-    few classes for its remaining cost to finish (`_class_cuts`) no vector
-    resolves: the walk goes on there in counting mode, which counts the
-    candidates without building or checking codes. So it does below a node
-    that the split cut of the module docstring skips. A level `empty` rules
-    out is walked from the root in counting mode. Returns the cost reached
-    (None if the levels ran out), the number of candidates examined, how
-    many of those were checked, and the resolving vectors at that cost as
-    (vertex, strength) pairs: the first one, or with `collect` all of them.
+    `groups` at strength 0 or, for a broadcast, fails the counting
+    condition `|supp| + prod(f + 1) >= n`; groups of one vertex constrain
+    nothing. A subtree is cut only when none of its vectors can be a
+    candidate. Below a node whose codes have too few classes for its
+    remaining cost to finish (`_class_cuts`) no vector resolves: the walk
+    goes on there in counting mode, which counts the candidates without
+    building or checking codes. So it does below a node that the split cut
+    of the module docstring skips. A level `empty` rules out is walked from
+    the root in counting mode. Returns the cost reached (None if the levels
+    ran out), the number of candidates examined, how many of those were
+    checked, and the resolving vectors at that cost as (vertex, strength)
+    pairs: the first one, or with `collect` all of them.
     """
     n = len(caps)
+    base = n + 1
+    need = n if broadcast else 0  # a set's counting condition always holds
     # after[z] = sum(caps[z + 1:]), the most cost the vertices above z take.
     after = list(accumulate(caps[:0:-1], initial=0))[::-1]
     ones = rows[1]
@@ -246,7 +251,7 @@ def _search(
                         hi = p
                     owed += t.bit_count() - 1
                     owing |= t
-        zs = range(hi - 1, last, -1) if descending else range(last + 1, hi)
+        zs = range(hi - 1, last, -1) if broadcast else range(last + 1, hi)
         total = 0
         if rem == 1:
             # Every child is a leaf at strength 1.
@@ -370,9 +375,7 @@ def _solve_truncated(g: Graph, k: int, d: Optional[DistanceMatrix], kind: str) -
     twins = d.twins
     lb = max(1, twins.forced_minimum())
     empty = _level_proof(rows, n, lb, twins.groups)
-    size, examined, checked, found = _search(
-        (None, rows), (1,) * n, range(lb, n), max(n, k + 2), 0, twins.groups, False, empty=empty
-    )
+    size, examined, checked, found = _search((None, rows), (1,) * n, range(lb, n), twins.groups, False, empty=empty)
     if size is None:
         raise RuntimeError("subset search exhausted without a resolving set")
     return SolverResult(kind, size, next(zip(*found[0])), examined, lb, checked)
@@ -509,7 +512,9 @@ def broadcast_value_caps(g: Graph, d: Optional[DistanceMatrix] = None) -> tuple[
     ecc_finite(v) to keep them strictly above every reachable distance;
     beyond that the separation relation no longer changes. Either way,
     lowering a value to the cap preserves resolution and strictly lowers
-    cost, so no minimum broadcast sits above the caps.
+    cost, so no minimum broadcast sits above the caps. bdim's search and
+    `enumerate_min_broadcasts`, which lists every minimum broadcast, both
+    scan capped vectors alone.
     """
     if d is None:
         d = all_pairs_distances(g)
@@ -543,59 +548,54 @@ def _vector(n: int, support) -> tuple[int, ...]:
     return tuple(vec)
 
 
+def _broadcast_search(g: Graph, d: Optional[DistanceMatrix], collect: bool):
+    """Run bdim's search on g, n >= 1, and return its starting lower bound
+    followed by what `_search` returns; with `collect`, its vectors are
+    every minimum broadcast."""
+    n = g.n
+    if d is None:
+        d = all_pairs_distances(g)
+    caps = broadcast_value_caps(g, d)
+    twins = d.twins
+    # The proved lower bounds: diameter/3, twin support and counting.
+    lb = max(1, -(-d.profile.finite_diameter // 3), twins.forced_minimum(), _counting_lower_bound(n))
+    # rows[i][z] = code row of z at strength i (None above z's cap)
+    rows = [None] + [
+        [truncated_row(drow, i, n) if i <= cap else None for drow, cap in zip(d.dist, caps)]
+        for i in range(1, max(caps) + 1)
+    ]
+    return (lb, *_search(rows, caps, count(lb), twins.groups, True, collect))
+
+
 def solve_bdim(g: Graph, d: Optional[DistanceMatrix] = None) -> SolverResult:
     """Compute the broadcast dimension with a lex-least minimum broadcast.
 
-    Cost levels ascend from the largest of the proved lower bounds
-    (diameter/3, twin support, counting). Candidates violating the twin
-    constraint or the counting condition are pruned before the full code
-    check; per-vertex strengths are capped by `broadcast_value_caps`,
-    which no minimum broadcast exceeds.
+    Cost levels ascend from the largest proved lower bound, with strengths
+    capped by `broadcast_value_caps`, which no minimum broadcast exceeds;
+    vectors that fail the twin or counting condition are not checked.
     """
     n = g.n
     if n == 0:
         raise ValueError("graph has no vertices")
     if n == 1:
         return SolverResult("bdim", 1, Broadcast((1,)), 0, 1, 0)
-    if d is None:
-        d = all_pairs_distances(g)
-    caps = broadcast_value_caps(g, d)
-    twins = d.twins
-    lb = max(
-        1,
-        -(-d.profile.finite_diameter // 3),
-        twins.forced_minimum(),
-        _counting_lower_bound(n),
-    )
-    # rows[i][z] = code row of z at strength i (None above z's cap)
-    rows = [None] + [
-        [truncated_row(drow, i, n) if i <= cap else None for drow, cap in zip(d.dist, caps)]
-        for i in range(1, max(caps) + 1)
-    ]
-    cost, examined, checked, found = _search(rows, caps, count(lb), n + 1, n, twins.groups, True)
+    lb, cost, examined, checked, found = _broadcast_search(g, d, False)
     return SolverResult("bdim", cost, Broadcast(_vector(n, found[0])), examined, lb, checked)
 
 
 def enumerate_min_broadcasts(g: Graph, d: Optional[DistanceMatrix] = None) -> EnumerationResult:
-    """List every minimum-cost resolving broadcast.
+    """List every minimum-cost resolving broadcast, in lexicographic order.
 
-    Ascending-cost scan over all uncapped vectors of each cost; the first
-    level with any resolving broadcast is returned in full, in
-    lexicographic order. Only vectors that cannot resolve (the twin and
-    counting filters) are skipped, so the output is the whole optimum set.
+    This is bdim's search, collecting every resolving vector of the first
+    cost that has one. Its caps and lower bound hold for every minimum
+    broadcast, and only vectors that cannot resolve (the twin and counting
+    filters) are skipped, so the output is the whole optimum set.
     """
     n = g.n
     if n == 0:
         raise ValueError("graph has no vertices")
-    if d is None:
-        d = all_pairs_distances(g)
-    groups = d.twins.groups
-    rows = [None]
-    for s in count(1):
-        rows.append([truncated_row(drow, s, n) for drow in d.dist])
-        *_, found = _search(rows, (s,) * n, (s,), max(n, s + 2), n, groups, True, collect=True)
-        if found:
-            return EnumerationResult(s, tuple(_vector(n, sup) for sup in found))
+    _, cost, _, _, found = _broadcast_search(g, d, True)
+    return EnumerationResult(cost, tuple(_vector(n, sup) for sup in found))
 
 
 def _canonical_shape(g: Graph) -> Optional[str]:
@@ -672,11 +672,7 @@ def flatten_path_cycle_broadcast(g: Graph, f, d: Optional[DistanceMatrix] = None
             vals[v] = value if v == j else max(vals[v], value)
     result = Broadcast(tuple(vals))
     if not is_resolving_broadcast(g, result, d):
-        witness = solve_adim(g, d).witness
-        ones = [0] * n
-        for v in witness:
-            ones[v] = 1
-        result = Broadcast(tuple(ones))
+        result = Broadcast(_vector(n, ((v, 1) for v in solve_adim(g, d).witness)))
     if result.cost > original_cost:
         raise RuntimeError("flattening increased the cost")
     if not is_resolving_broadcast(g, result, d):

@@ -5,7 +5,10 @@ Each suite yields one check per instance; a failing check carries the
 graph literal so the case can be replayed. The minimum-broadcast
 enumerator is cross-checked against `naive_min_broadcasts`, a
 definition-direct second route that shares no code with the solver
-(its own BFS, its own vector scan, its own code comparison).
+(its own BFS, its own vector scan, its own code comparison). The
+enumerator is bdim's search, while the naive route has no caps and
+starts at cost 1, so the cross-check also tests bdim's strength caps and
+starting lower bound.
 """
 
 from __future__ import annotations
@@ -77,6 +80,16 @@ def _describe(g: Graph) -> str:
     return f"n={g.n} edges={list(g.edges())}"
 
 
+def labelled_graphs(max_order: int, min_order: int = 1) -> Iterator[Graph]:
+    """Every labelled graph of each order from `min_order` to `max_order`:
+    by order, then by edge mask, bit i standing for the i-th vertex pair in
+    `combinations` order."""
+    for n in range(min_order, max_order + 1):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(2 ** len(pairs)):
+            yield build_graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+
+
 class VerifyContext:
     """Instance sources and memoized solves shared by all suites.
 
@@ -131,12 +144,7 @@ class VerifyContext:
     def battery(self) -> list[Graph]:
         """All graphs up to max_order plus seeded samples two orders higher."""
         if self._battery is None:
-            out = []
-            for n in range(1, self.max_order + 1):
-                pairs = list(combinations(range(n), 2))
-                for mask in range(2 ** len(pairs)):
-                    edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-                    out.append(build_graph(n, edges))
+            out = list(labelled_graphs(self.max_order))
             rng = self.rng_for("battery")
             for n in (self.max_order + 1, self.max_order + 2):
                 for _ in range(self.samples):

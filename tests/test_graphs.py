@@ -22,6 +22,7 @@ from resolvedim import (
     truncated_row,
     twin_partition,
 )
+from resolvedim.verify import labelled_graphs
 
 
 def test_build_graph_basics():
@@ -94,23 +95,20 @@ def test_twin_partition_matches_definition_up_to_order_6():
     # Pairs by the definition N(u) - {w} = N(w) - {u}; groups greedily in
     # ascending order, each vertex joining only if twin to every member.
     count = 0
-    for n in range(1, 7):
-        slots = list(combinations(range(n), 2))
-        for mask in range(2 ** len(slots)):
-            g = build_graph(n, [slots[i] for i in range(len(slots)) if mask >> i & 1])
-            nbrs = [set(row) for row in g.adjacency]
-            twins = {(u, w) for u, w in slots if nbrs[u] - {w} == nbrs[w] - {u}}
-            groups = []
-            for w in range(n):
-                grp = next((grp for grp in groups if all((u, w) in twins for u in grp)), None)
-                if grp is None:
-                    groups.append([w])
-                else:
-                    grp.append(w)
-            part = twin_partition(g)
-            assert part.pairs == tuple(sorted(twins)), g.edges()
-            assert part.groups == tuple(map(tuple, groups)), g.edges()
-            count += 1
+    for g in labelled_graphs(6):
+        nbrs = [set(row) for row in g.adjacency]
+        twins = {(u, w) for u, w in combinations(range(g.n), 2) if nbrs[u] - {w} == nbrs[w] - {u}}
+        groups = []
+        for w in range(g.n):
+            grp = next((grp for grp in groups if all((u, w) in twins for u in grp)), None)
+            if grp is None:
+                groups.append([w])
+            else:
+                grp.append(w)
+        part = twin_partition(g)
+        assert part.pairs == tuple(sorted(twins)), g.edges()
+        assert part.groups == tuple(map(tuple, groups)), g.edges()
+        count += 1
     assert count == 33_867
 
 
@@ -138,24 +136,22 @@ def test_delta_prime_values():
     # Every labelled graph of order <= 5, disconnected ones included,
     # against a count over Floyd-Warshall distances.
     count = 0
-    for n in range(6):
-        slots = list(combinations(range(n), 2))
-        for mask in range(2 ** len(slots)):
-            edges = [slots[i] for i in range(len(slots)) if mask >> i & 1]
-            far = float("inf")
-            dist = [[0 if x == y else far for y in range(n)] for x in range(n)]
-            for x, y in edges:
-                dist[x][y] = dist[y][x] = 1
-            for z in range(n):
-                for x in range(n):
-                    for y in range(n):
-                        dist[x][y] = min(dist[x][y], dist[x][z] + dist[z][y])
-            expected = max(
-                (sum(dist[v][x] == j for x in range(n)) for v in range(n) for j in range(1, n)),
-                default=0,
-            )
-            assert delta_prime(build_graph(n, edges)) == expected, (n, edges)
-            count += 1
+    for g in labelled_graphs(5, min_order=0):
+        n = g.n
+        far = float("inf")
+        dist = [[0 if x == y else far for y in range(n)] for x in range(n)]
+        for x, y in g.edges():
+            dist[x][y] = dist[y][x] = 1
+        for z in range(n):
+            for x in range(n):
+                for y in range(n):
+                    dist[x][y] = min(dist[x][y], dist[x][z] + dist[z][y])
+        expected = max(
+            (sum(dist[v][x] == j for x in range(n)) for v in range(n) for j in range(1, n)),
+            default=0,
+        )
+        assert delta_prime(g) == expected, (n, g.edges())
+        count += 1
     assert count == 1_100
 
 

@@ -10,12 +10,10 @@ counts their candidates without checking them.
 from __future__ import annotations
 
 import random
-from itertools import combinations
 
 import seed_oracle
 from resolvedim import (
     all_pairs_distances,
-    build_graph,
     disjoint_union,
     enumerate_min_broadcasts,
     families,
@@ -29,40 +27,45 @@ from resolvedim import (
 from resolvedim.graphs import truncated_row
 from resolvedim import solvers
 from resolvedim.solvers import _class_cuts, _pair_covers, _pair_table, _separable
+from resolvedim.verify import labelled_graphs
 
 
 def _fields(res):
     return res.value, res.witness, res.candidates_examined, res.lower_bound_used
 
 
-def _assert_same_solves(g):
-    d = all_pairs_distances(g)
+def _assert_same_solves(g, d=None):
+    """Compare every solver with the oracle on g, and return the bdim result."""
+    if d is None:
+        d = all_pairs_distances(g)
+    adim_oracle = seed_oracle.solve_dim_k(g, 1, d)  # adim is dim_1
+    bdim = solve_bdim(g, d)
     pairs = [
         ("dim", solve_dim(g, d), seed_oracle.solve_dim(g, d)),
-        ("adim", solve_adim(g, d), seed_oracle.solve_dim_k(g, 1, d)),
-        ("bdim", solve_bdim(g, d), seed_oracle.solve_bdim(g, d)),
+        ("adim", solve_adim(g, d), adim_oracle),
+        ("bdim", bdim, seed_oracle.solve_bdim(g, d)),
+        ("dim_1", solve_dim_k(g, 1, d), adim_oracle),
     ]
     pairs += [
-        (f"dim_{k}", solve_dim_k(g, k, d), seed_oracle.solve_dim_k(g, k, d)) for k in (1, 2, 3)
+        (f"dim_{k}", solve_dim_k(g, k, d), seed_oracle.solve_dim_k(g, k, d)) for k in (2, 3)
     ]
     for kind, new, old in pairs:
         assert _fields(new) == _fields(old), f"{kind} on n={g.n} edges={g.edges()}"
-
-
-def _labelled_graphs(max_order):
-    for n in range(1, max_order + 1):
-        pairs = list(combinations(range(n), 2))
-        for mask in range(2 ** len(pairs)):
-            yield build_graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+    return bdim
 
 
 def test_every_labelled_graph_up_to_order_5():
     count = 0
-    for g in _labelled_graphs(5):
-        _assert_same_solves(g)
+    for g in labelled_graphs(5):
         d = all_pairs_distances(g)
+        bdim = _assert_same_solves(g, d)
         new = enumerate_min_broadcasts(g, d)
         assert new == seed_oracle.enumerate_min_broadcasts(g, d), f"n={g.n} edges={g.edges()}"
+        # The enumerator is bdim's search collecting every resolving
+        # vector: its cost is the value and its first broadcast the witness.
+        assert (new.optimal_cost, new.broadcasts[0]) == (bdim.value, bdim.witness.values), (
+            f"n={g.n} edges={g.edges()}"
+        )
         count += 1
     assert count == 1 + 2 + 8 + 64 + 1024
 
@@ -139,7 +142,7 @@ def test_pair_separation_test_matches_the_scan():
     # landmarks separate every pair exactly when the scan's value is at
     # most the budget.
     rng = random.Random(19961030)
-    graphs = [g for g in _labelled_graphs(5) if g.n > 1]
+    graphs = [g for g in labelled_graphs(5) if g.n > 1]
     graphs += [families.random_graph(n, rng.uniform(0.1, 0.7), rng.randrange(2**31)) for n in range(6, 10) for _ in range(8)]
     for g in graphs:
         n = g.n
@@ -240,7 +243,7 @@ def test_bdim_never_builds_a_pair_table(monkeypatch):
     # The split cut's gate: no solve of a graph of order 5 or less checks
     # as many candidates as the class lists it would build have entries.
     monkeypatch.setattr(solvers, "_split_classes", refuse)
-    for g in _labelled_graphs(5):
+    for g in labelled_graphs(5):
         d = all_pairs_distances(g)
         for solve in (solve_dim, solve_adim, solve_bdim, enumerate_min_broadcasts):
             solve(g, d)

@@ -10,7 +10,6 @@ from resolvedim import (
     Broadcast,
     SolverResult,
     all_pairs_distances,
-    build_graph,
     broadcast_code,
     broadcast_codes,
     counting_feasible,
@@ -21,6 +20,7 @@ from resolvedim import (
     is_resolving_set,
     revalidate,
 )
+from resolvedim.verify import labelled_graphs
 
 
 def test_broadcast_dataclass():
@@ -124,27 +124,25 @@ def test_set_checks_match_definitions_up_to_order_5():
     # and dim_2 witness and take a resolving one as adim iff its 0/1/2
     # codes differ.
     count = 0
-    for n in range(1, 6):
-        slots = list(combinations(range(n), 2))
-        for mask in range(2 ** len(slots)):
-            g = build_graph(n, [slots[i] for i in range(len(slots)) if mask >> i & 1])
-            d = all_pairs_distances(g)
-            near = [[0 if z == v else 1 if g.has_edge(z, v) else 2 for v in range(n)] for z in range(n)]
-            for size in range(1, n + 1):
-                for s in combinations(range(n), size):
-                    metric = _first_tie([tuple(d.dist[z][v] for z in s) for v in range(n)])
-                    adjacency = _first_tie([tuple(near[z][v] for z in s) for v in range(n)])
-                    verdict = is_resolving_set(g, s, d)
-                    assert (verdict.resolving, verdict.unresolved_pair) == (metric is None, metric)
-                    verdict = is_adjacency_resolving_set(g, s, d)
-                    assert (verdict.resolving, verdict.unresolved_pair) == (adjacency is None, adjacency)
-                    if metric is not None:
-                        for kind, k in (("dim", None), ("adim", None), ("dim_k", 2)):
-                            assert not revalidate(g, SolverResult(kind, size, s, 0, 1, 0), k=k, d=d)
-                    elif n > 1:
-                        adim = SolverResult("adim", size, s, 0, 1, 0)
-                        assert revalidate(g, adim, d=d) == (adjacency is None)
-                    count += 1
+    for g in labelled_graphs(5):
+        n = g.n
+        d = all_pairs_distances(g)
+        near = [[0 if z == v else 1 if g.has_edge(z, v) else 2 for v in range(n)] for z in range(n)]
+        for size in range(1, n + 1):
+            for s in combinations(range(n), size):
+                metric = _first_tie([tuple(d.dist[z][v] for z in s) for v in range(n)])
+                adjacency = _first_tie([tuple(near[z][v] for z in s) for v in range(n)])
+                verdict = is_resolving_set(g, s, d)
+                assert (verdict.resolving, verdict.unresolved_pair) == (metric is None, metric)
+                verdict = is_adjacency_resolving_set(g, s, d)
+                assert (verdict.resolving, verdict.unresolved_pair) == (adjacency is None, adjacency)
+                if metric is not None:
+                    for kind, k in (("dim", None), ("adim", None), ("dim_k", 2)):
+                        assert not revalidate(g, SolverResult(kind, size, s, 0, 1, 0), k=k, d=d)
+                elif n > 1:
+                    adim = SolverResult("adim", size, s, 0, 1, 0)
+                    assert revalidate(g, adim, d=d) == (adjacency is None)
+                count += 1
     assert count == 32_767
 
 

@@ -17,7 +17,6 @@ from resolvedim import (
     SolverResult,
     all_pairs_distances,
     broadcast_value_caps,
-    build_graph,
     delete_edge,
     delete_vertex,
     disjoint_union,
@@ -31,6 +30,7 @@ from resolvedim import (
     solve_dim,
     solve_dim_k,
 )
+from resolvedim.verify import labelled_graphs
 
 INF = float("inf")
 
@@ -101,19 +101,12 @@ def oracle_bdim(g):
         cost += 1
 
 
-def _all_graphs(n):
-    pairs = list(combinations(range(n), 2))
-    for mask in range(2 ** len(pairs)):
-        yield build_graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
-
-
 def test_solvers_match_oracles_exhaustive():
-    for n in range(1, 5):
-        for g in _all_graphs(n):
-            d = all_pairs_distances(g) if n > 1 else None
-            assert solve_dim(g, d).value == oracle_dim(g)
-            assert solve_adim(g, d).value == oracle_dim(g, cutoff=1)
-            assert solve_bdim(g, d).value == oracle_bdim(g)
+    for g in labelled_graphs(4):
+        d = all_pairs_distances(g) if g.n > 1 else None
+        assert solve_dim(g, d).value == oracle_dim(g)
+        assert solve_adim(g, d).value == oracle_dim(g, cutoff=1)
+        assert solve_bdim(g, d).value == oracle_bdim(g)
 
 
 def test_solvers_match_oracles_sampled():
