@@ -35,14 +35,29 @@ including the first resolving one, so it does not depend on how the
 search is implemented.
 
 The kernel also skips a subtree whose codes have too few classes for
-its remaining cost to make them all distinct, the counting argument of
-the broadcast lower bound applied at each node (`_class_cuts`). Its
-candidates cannot resolve, but they are candidates: the kernel counts
+the cost left below it to make them all distinct: the counting argument
+of the broadcast lower bound, applied at each node to the rows still
+above it. A row adds at most n - m classes to any codes, m the number of
+its entries equal to its largest (`_row_gain`). So cost r spent on the
+vertices above z adds at most best[r][z], a knapsack over strengths that
+prices each strength at its best row above z (`_class_gains`,
+`_grow_class_bound`). Each node passes down how many classes its codes
+miss, and the kernel skips a child (z, v) when the gain of row (z, v)
+plus best[left][z] falls short of that; skips it, once its codes are
+built, when they miss more than best[left][z]; and counts a leaf
+without checking it when its row's gain falls short. The candidates
+below a cut cannot resolve, but they are candidates: the kernel counts
 them instead of checking them. The count comes from the same walk run
 in its counting mode, which builds no code, checks no leaf and memoises
 each count, so there is one walk of the enumeration to keep right.
 `candidates_examined` is therefore unchanged, and `candidates_checked`
 says how many had their codes compared.
+
+The bound's tables are made once per solve, when the scan has built as
+many nodes as there are strength rows (`_bound_gate`), and never when
+some strength-1 row adds at least (n - 2)/2 classes (`_counting_idle`):
+there a count prices out almost nothing, and dim on random graphs would
+pay for tables it does not use.
 
 For sets, the exponential part of a solve is mostly the proof that no
 smaller set resolves, not the search for the witness. A set resolves
@@ -53,10 +68,11 @@ first level whose candidates outnumber the entries of the pair table
 (`_pair_table`), each level is tested by a branch and bound over that
 table (`_separable`) before it is scanned; a level it shows empty is
 walked in counting mode, and the first level it cannot rule out is
-scanned for the lex-least witness. The test runs only when the class
-cut is idle and that level lies above the first one scanned
-(`_level_proof`); below it the scan runs as before. So the counts stay
-the same, and `candidates_checked` leaves out the proved levels too.
+scanned for the lex-least witness. The test runs only when the
+class-count bound is idle and that level lies above the first one
+scanned (`_level_proof`); below it the scan runs as before. So the
+counts stay the same, and `candidates_checked` leaves out the proved
+levels too.
 
 The same pair view cuts inside the scan, for all four parameters: the
 split cut. Below a node whose last support vertex is z, with cost r >= 2
@@ -65,10 +81,12 @@ by a landmark above z. A landmark that splits a pair at some strength
 splits it at every higher one, so none can do more than at strength
 min(r, its cap). The subtree is skipped when some pair has no such
 landmark, which one class list per strength decides for every pair at
-once (`_split_classes`); its candidates are counted as at a class cut.
-The test starts once the scan has checked n**2 candidates per strength
-the level reads, as many as those class lists have entries, so a tiny
-solve builds none. Only the proof reads pair tables.
+once (`_split_classes`); its candidates are counted, as below a class
+count cut. The test starts once the scan has built the codes of n**2
+nodes per strength the level reads, n times as many codes as those class
+lists have entries, so a tiny solve builds none. It counts nodes built,
+not candidates checked, because the class-count bound leaves few leaves
+to check. Only the proof reads pair tables.
 
 Order-1 graphs take value 1 by convention for all parameters.
 """
@@ -77,7 +95,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, combinations, count, repeat
-from math import comb
+from math import comb, inf
 from operator import add, mul, ne
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -95,8 +113,9 @@ class SolverResult:
     candidates_examined: int
     lower_bound_used: int
     # The candidates whose codes were compared; the rest of those examined
-    # were counted in subtrees the class-count or split cut skipped, or in
-    # levels the pair-separation proof showed empty.
+    # were counted at leaves or in subtrees that the class-count bound or
+    # the split cut skipped, or in levels the pair-separation proof showed
+    # empty.
     candidates_checked: int
 
 
@@ -108,34 +127,53 @@ class EnumerationResult:
     broadcasts: tuple[tuple[int, ...], ...]
 
 
-def _class_cuts(rows, n: int, upto: int) -> list[int]:
-    """Return cut[r] for r <= upto: a node with remaining cost r >= 2 whose
-    codes fall into fewer than cut[r] classes has no resolving vector below
-    it (cut[0] = cut[1] = 0, as such nodes are not checked). A cut of at
-    most 2 never applies: below the root every node has a support vertex,
-    whose code alone has a 0, so its codes fall into at least 2 classes.
+def _row_gain(row, n: int) -> int:
+    """The most classes that refining any codes by `row` can add: each class
+    gains at most one class per member whose entry is not max(row), so
+    n - m for the m entries equal to max(row)."""
+    return n - row.count(max(row))
 
-    Refining codes by a row whose value x is shared by m vertices adds at
-    most n - m classes, since each class gains at most one class per member
-    whose entry is not x; here x = max(row). So rows of total strength r
-    add at most the best split of r over strengths, each strength counted
-    at its largest row gain.
+
+def _counting_idle(ones, n: int) -> bool:
+    """Whether some strength-1 row of `ones` adds at least (n - 2)/2
+    classes. Cost r >= 2 may then add n - 2 classes by that row's gain
+    alone, and every node below the root has 2 classes already, so the
+    class-count bound can price a node out only where few rows are left
+    above it: the scan leaves it off, and for sets `_level_proof` may run
+    in its place."""
+    return any(2 * _row_gain(row, n) >= n - 2 for row in ones)
+
+
+def _bound_gate(caps: Sequence[int]) -> int:
+    """The number of nodes a scan builds before it makes the class-count
+    bound: one per strength row, sum(caps). The bound reads the n entries
+    of each row, and a node builds n codes, so the scan has spent as much
+    on codes as the bound costs, and a tiny solve makes none."""
+    return sum(caps)
+
+
+def _class_gains(rows, n: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Return (gain, above) for the strength rows `rows`: gain[v][z] is the
+    `_row_gain` of rows[v][z], or 0 where z cannot take strength v, and
+    above[v][z] = max(gain[v][w] for w > z), 0 for z = n - 1. Both are
+    empty at v = 0."""
+    gain = [[]] + [[0 if row is None else _row_gain(row, n) for row in level] for level in rows[1:]]
+    return gain, [[]] + [list(accumulate(g[:0:-1], max, initial=0))[::-1] for g in gain[1:]]
+
+
+def _grow_class_bound(best: list[list[int]], above: list[list[int]]) -> None:
+    """Append best[r][z] for the next r = len(best): the most classes that
+    cost r, spent on the vertices above z, can add to any codes.
+
+    A vertex w > z at strength v adds at most gain[v][w] <= above[v][z]
+    classes, so cost r adds at most the best split of r over strengths,
+    each strength priced at `above`. best[0] is all 0.
     """
-    top = 0  # the largest strength-1 row gain
-    for row in rows[1]:
-        gain = n - row.count(max(row))
-        if gain > top:
-            top = gain
-            if 2 * top >= n - 2:
-                # Every cut is at most 2.
-                return [0] * (upto + 1)
-    best = [r * top for r in range(upto + 1)]  # best[r]: most classes cost r adds
-    for v in range(2, min(upto, len(rows) - 1) + 1):
-        gain = n - min(row.count(max(row)) for row in rows[v] if row is not None)
-        for r in range(v, upto + 1):
-            if gain + best[r - v] > best[r]:
-                best[r] = gain + best[r - v]
-    return [0, 0] + [n - b for b in best[2:]]
+    r = len(best)
+    row = [0] * len(best[0])
+    for v in range(1, min(r, len(above) - 1) + 1):
+        row = list(map(max, row, map(add, above[v], best[r - v])))
+    best.append(row)
 
 
 def _split_classes(rows, caps: Sequence[int], base: int, r: int) -> list[list[int]]:
@@ -182,15 +220,19 @@ def _search(
     `groups` at strength 0 or, for a broadcast, fails the counting
     condition `|supp| + prod(f + 1) >= n`; groups of one vertex constrain
     nothing. A subtree is cut only when none of its vectors can be a
-    candidate. Below a node whose codes have too few classes for its
-    remaining cost to finish (`_class_cuts`) no vector resolves: the walk
-    goes on there in counting mode, which counts the candidates without
-    building or checking codes. So it does below a node that the split cut
-    of the module docstring skips. A level `empty` rules out is walked from
-    the root in counting mode. Returns the cost reached (None if the levels
-    ran out), the number of candidates examined, how many of those were
-    checked, and the resolving vectors at that cost as (vertex, strength)
-    pairs: the first one, or with `collect` all of them.
+    candidate. Each node knows how many classes its codes miss, and no
+    vector resolves below a child (z, v) when gain[v][z] + best[left][z]
+    falls short of that, or when the child's own codes miss more than
+    best[left][z] (the class-count bound of the module docstring, with
+    `left` the cost left below the child); nor at a leaf whose row's gain
+    falls short. The walk goes on there in counting mode, which counts the
+    candidates without building or checking codes, and a leaf is counted
+    without being checked. So it does below a node that the split cut
+    skips. A level `empty` rules out is walked from the root in counting
+    mode. Returns the cost reached (None if the levels ran out), the number
+    of candidates examined, how many of those were checked, and the
+    resolving vectors at that cost as (vertex, strength) pairs: the first
+    one, or with `collect` all of them.
     """
     n = len(caps)
     base = n + 1
@@ -202,30 +244,47 @@ def _search(
     members = sum(masks)
     top = 1 << n
     checked = 0
-    cut = [0, 0]
+    built = 0  # the nodes whose codes were built
     memo: dict[tuple[int, int, int, int, int], int] = {}
     path: list[tuple[int, int]] = []
     found: list[tuple[tuple[int, int], ...]] = []
-    # The split cut tests nodes once `checked` reaches `gate`, each with the
+    strongest = len(rows) - 1
+    # The class-count bound, `gain` and `best` of `_class_gains` and
+    # `_grow_class_bound`, made once `built` reaches `_bound_gate`, unless
+    # `_counting_idle`. Until then they are None, and every node misses 0
+    # classes as far as the walk knows, so it reads neither.
+    gain = above = best = None
+    bound_gate = _bound_gate(caps)
+    level = 0
+    # The split cut tests nodes once `built` reaches `gate`, each with the
     # `_split_classes` of its strength, made on first use.
     split: dict[int, list[list[int]]] = {}
-    strongest = len(rows) - 1
     gate = 0
 
-    def extend(codes, last: int, rem: int, supp: int, weight: int, zeros: int) -> int:
+    def make_bound() -> None:
+        nonlocal gain, above, best, bound_gate
+        bound_gate = inf
+        if not _counting_idle(ones, n):
+            gain, above = _class_gains(rows, n)
+            best = [[0] * n]
+            while len(best) < level:
+                _grow_class_bound(best, above)
+
+    def extend(codes, last: int, rem: int, supp: int, weight: int, zeros: int, missing: int) -> int:
         """Try every way to spend `rem` more on vertices above `last`, and
         return the number of candidates examined below this node.
 
-        `codes` holds each vertex's code so far, times `base`; the vector
-        so far has `supp` support vertices, prod(f + 1) = `weight`, and
-        the vertices up to `last` at strength 0 in the bitmask `zeros`.
+        `codes` holds each vertex's code so far, times `base`, and falls
+        `missing` classes short of n (0 when not known); the vector so far
+        has `supp` support vertices, prod(f + 1) = `weight`, and the
+        vertices up to `last` at strength 0 in the bitmask `zeros`.
         The walk stops at the first resolving vector unless it collects.
         With `codes` None it counts every candidate below instead, builds
         no code, and memoises the count on what the walk reads: |supp| and
         the product only matter up to `need`, and `zeros` only on twin
         group members.
         """
-        nonlocal checked
+        nonlocal checked, built
         if codes is None:
             key = (last, rem, min(supp, need), min(weight, need), zeros & members)
             total = memo.get(key)
@@ -238,12 +297,12 @@ def _search(
         still = 0
         skipped = 0
         if masks:
-            above = top - (1 << (last + 1))
+            above_last = top - (1 << (last + 1))
             for m in masks:
                 # The group's members left at 0 if nothing above `last` is
                 # chosen; all but one of them must still be chosen, and the
                 # next vertex may not skip two of them.
-                t = (zeros | above) & m
+                t = (zeros | above_last) & m
                 u = t & (t - 1)
                 if u:
                     p = (u & -u).bit_length()
@@ -254,20 +313,24 @@ def _search(
         zs = range(hi - 1, last, -1) if broadcast else range(last + 1, hi)
         total = 0
         if rem == 1:
-            # Every child is a leaf at strength 1.
+            # Every child is a leaf at strength 1; one whose row adds fewer
+            # classes than the codes miss is counted, not checked.
             if supp + 2 * weight >= need:
                 if codes is None:
                     total = sum(owed <= owing >> z & 1 for z in zs)
                 else:
+                    priced = 0  # the leaves counted, not checked
                     for z in zs:
                         if owed > owing >> z & 1:
                             continue
                         total += 1
-                        if len(set(map(add, codes, ones[z]))) == n:
+                        if missing and gain[1][z] < missing:
+                            priced += 1
+                        elif len(set(map(add, codes, ones[z]))) == n:
                             found.append((*path, (z, 1)))
                             if not collect:
                                 break
-                    checked += total
+                    checked += total - priced
         else:
             # Rows that end a vector here, if any vertex can take all of rem.
             ends = rows[rem] if rem < len(rows) and supp + weight * (rem + 1) >= need else ()
@@ -288,30 +351,40 @@ def _search(
                     # falls as v grows, and so does `left`.
                     if still > left or supp + left + (w << left) < need:
                         break
-                    if codes is None:
-                        total += extend(None, z, left, supp, w, skipped)
+                    # The candidates below a cut are counted, not checked:
+                    # first when row (z, v) and cost `left` above z cannot
+                    # add the classes the codes miss, then when the child's
+                    # own codes miss more than `left` can add.
+                    if codes is None or missing and gain[v][z] + best[left][z] < missing:
+                        total += extend(None, z, left, supp, w, skipped, 0)
                         continue
                     nxt = [c * base for c in map(add, codes, rows[v][z])]
-                    # The candidates below a cut are counted, not checked.
-                    skip = cut[left] > 2 and len(set(nxt)) < cut[left]
-                    if not skip and left > 1 and checked >= gate:
+                    built += 1
+                    short = 0
+                    skip = False
+                    if best is not None:
+                        short = n - len(set(nxt))
+                        skip = best[left][z] < short
+                    elif built >= bound_gate:
+                        make_bound()
+                    if not skip and left > 1 and built >= gate:
                         r = left if left < strongest else strongest
                         classes = split.get(r)
                         if classes is None:
                             classes = split[r] = _split_classes(rows, caps, base, r)
                         skip = len(set(map(add, nxt, classes[z]))) < n
                     if skip:
-                        total += extend(None, z, left, supp, w, skipped)
+                        total += extend(None, z, left, supp, w, skipped, 0)
                         continue
                     path.append((z, v))
-                    total += extend(nxt, z, left, supp, w, skipped)
+                    total += extend(nxt, z, left, supp, w, skipped, short)
                     if found and not collect:
                         return total
                     path.pop()
                 if cap < rem or still or not ends:
                     continue
                 total += 1
-                if codes is None:
+                if codes is None or missing and gain[rem][z] < missing:
                     continue
                 checked += 1
                 if len(set(map(add, codes, ends[z]))) == n:
@@ -327,14 +400,20 @@ def _search(
     for cost in levels:
         if cost + (1 << cost) >= need:
             if empty is not None and empty(cost):
-                examined += extend(None, -1, cost, 0, 1, 0)
+                examined += extend(None, -1, cost, 0, 1, 0, 0)
                 continue
-            if len(cut) < cost:
-                cut = _class_cuts(rows, n, cost - 1)
+            # A node reads best[r] for the cost r left below it, r < cost.
+            level = cost
+            if built >= bound_gate:
+                make_bound()
+            elif best is not None:
+                while len(best) < level:
+                    _grow_class_bound(best, above)
             # The split cut reads strengths 1..cost - 1, which take
-            # min(cost - 1, max(caps)) class lists of n * n entries.
+            # min(cost - 1, max(caps)) class lists of n * n entries; it
+            # waits for n * n nodes per strength, n codes each.
             gate = n * n * min(cost - 1, strongest)
-            examined += extend(start, -1, cost, 0, 1, 0)
+            examined += extend(start, -1, cost, 0, 1, 0, 0 if best is None else n - 1)
             if found:
                 return cost, examined, checked, found
     return None, examined, checked, found
@@ -385,10 +464,10 @@ def _level_proof(rows, n: int, lb: int, groups) -> Optional[Callable[[int], bool
     """Return the `empty` test of a subset search over the landmark rows
     `rows` from level lb, or None when the proof does not run.
 
-    It runs when the class cut is idle (some row gains at least (n - 2)/2
-    classes, so every cut of `_class_cuts` is 0) and the first level L that
-    holds more candidates than the pair table has entries, n * C(n, 2),
-    lies above lb. The scan checks the levels below L as before, so the
+    It runs when the class-count bound is idle (`_counting_idle`: some row
+    gains at least (n - 2)/2 classes) and the first level L that holds
+    more candidates than the pair table has entries, n * C(n, 2), lies
+    above lb. The scan checks the levels below L as before, so the
     table is built only after the scan has checked a whole level with
     more than 1/n as many candidates as the table has entries, and never
     for a solve whose witness lies below L. From L on, a level
@@ -411,7 +490,7 @@ def _level_proof(rows, n: int, lb: int, groups) -> Optional[Callable[[int], bool
             nxt[s + m - 1] += c * m
         cands = nxt
     big = next((size for size in range(lb, n) if cands[size] > entries), None)
-    if big is None or big == lb or any(_class_cuts((None, rows), n, 2)):
+    if big is None or big == lb or not _counting_idle(rows, n):
         return None
     tables: list[list[int]] = []  # `_pair_table` and `_pair_covers`, on first use
 

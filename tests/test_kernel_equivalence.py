@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 
+import pytest
 import seed_oracle
 from resolvedim import (
     all_pairs_distances,
@@ -26,7 +27,15 @@ from resolvedim import (
 )
 from resolvedim.graphs import truncated_row
 from resolvedim import solvers
-from resolvedim.solvers import _class_cuts, _pair_covers, _pair_table, _separable
+from resolvedim.solvers import (
+    _class_gains,
+    _counting_idle,
+    _grow_class_bound,
+    _pair_covers,
+    _pair_table,
+    _separable,
+    broadcast_value_caps,
+)
 from resolvedim.verify import labelled_graphs
 
 
@@ -34,33 +43,64 @@ def _fields(res):
     return res.value, res.witness, res.candidates_examined, res.lower_bound_used
 
 
-def _assert_same_solves(g, d=None):
-    """Compare every solver with the oracle on g, and return the bdim result."""
+def _solve_all(g, d):
+    """Every solver's result on g, and the enumerator's."""
+    return {
+        "dim": solve_dim(g, d),
+        "adim": solve_adim(g, d),
+        "bdim": solve_bdim(g, d),
+        "dim_1": solve_dim_k(g, 1, d),
+        "dim_2": solve_dim_k(g, 2, d),
+        "dim_3": solve_dim_k(g, 3, d),
+        "enum": enumerate_min_broadcasts(g, d),
+    }
+
+
+def _assert_same_solves(g, d=None, enum_oracle=None):
+    """Compare every solver with the oracle on g, and the enumerator with
+    `enum_oracle` if given, else with its own default run; return both
+    runs' results (`_solve_all`).
+
+    Each solve runs twice: as it is, and with the class-count bound made
+    from the first node on, which its gate and the idle rule otherwise
+    keep off on graphs this small. The oracle runs once."""
     if d is None:
         d = all_pairs_distances(g)
     adim_oracle = seed_oracle.solve_dim_k(g, 1, d)  # adim is dim_1
-    bdim = solve_bdim(g, d)
-    pairs = [
-        ("dim", solve_dim(g, d), seed_oracle.solve_dim(g, d)),
-        ("adim", solve_adim(g, d), adim_oracle),
-        ("bdim", bdim, seed_oracle.solve_bdim(g, d)),
-        ("dim_1", solve_dim_k(g, 1, d), adim_oracle),
-    ]
-    pairs += [
-        (f"dim_{k}", solve_dim_k(g, k, d), seed_oracle.solve_dim_k(g, k, d)) for k in (2, 3)
-    ]
-    for kind, new, old in pairs:
-        assert _fields(new) == _fields(old), f"{kind} on n={g.n} edges={g.edges()}"
-    return bdim
+    oracle = {
+        "dim": seed_oracle.solve_dim(g, d),
+        "adim": adim_oracle,
+        "bdim": seed_oracle.solve_bdim(g, d),
+        "dim_1": adim_oracle,
+        "dim_2": seed_oracle.solve_dim_k(g, 2, d),
+        "dim_3": seed_oracle.solve_dim_k(g, 3, d),
+    }
+    plain = _solve_all(g, d)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "_bound_gate", lambda caps: 0)
+        mp.setattr(solvers, "_counting_idle", lambda ones, n: False)
+        forced = _solve_all(g, d)
+    if enum_oracle is None:
+        enum_oracle = plain["enum"]
+    for run in (plain, forced):
+        for kind, old in oracle.items():
+            assert _fields(run[kind]) == _fields(old), f"{kind} on n={g.n} edges={g.edges()}"
+        assert run["enum"] == enum_oracle, f"n={g.n} edges={g.edges()}"
+    return plain, forced
+
+
+def _unchecked(plain, forced):
+    """How many fewer candidates the solvers checked with the bound forced."""
+    return sum(plain[kind].candidates_checked - forced[kind].candidates_checked for kind in plain if kind != "enum")
 
 
 def test_every_labelled_graph_up_to_order_5():
-    count = 0
+    count = unchecked = 0
     for g in labelled_graphs(5):
         d = all_pairs_distances(g)
-        bdim = _assert_same_solves(g, d)
-        new = enumerate_min_broadcasts(g, d)
-        assert new == seed_oracle.enumerate_min_broadcasts(g, d), f"n={g.n} edges={g.edges()}"
+        plain, forced = _assert_same_solves(g, d, seed_oracle.enumerate_min_broadcasts(g, d))
+        unchecked += _unchecked(plain, forced)
+        bdim, new = plain["bdim"], plain["enum"]
         # The enumerator is bdim's search collecting every resolving
         # vector: its cost is the value and its first broadcast the witness.
         assert (new.optimal_cost, new.broadcasts[0]) == (bdim.value, bdim.witness.values), (
@@ -68,29 +108,88 @@ def test_every_labelled_graph_up_to_order_5():
         )
         count += 1
     assert count == 1 + 2 + 8 + 64 + 1024
+    # The forced bound did cut.
+    assert unchecked > 0
 
 
 def test_seeded_random_graphs_and_trees():
     rng = random.Random(20050731)
+    graphs = []
     for n in range(6, 10):
         for _ in range(8):
             p = rng.uniform(0.1, 0.7)
-            _assert_same_solves(families.random_graph(n, p, rng.randrange(2**31)))
-            _assert_same_solves(families.random_tree(n, rng.randrange(2**31)))
+            graphs.append(families.random_graph(n, p, rng.randrange(2**31)))
+            graphs.append(families.random_tree(n, rng.randrange(2**31)))
         # A disconnected graph of every order: these take the
         # finite-eccentricity branch of the broadcast caps.
         g = disjoint_union(families.random_tree(n - 3, n), families.path(3))
         assert not metric_profile(g).connected
-        _assert_same_solves(g)
+        graphs.append(g)
+    unchecked = 0
+    for g in graphs:
+        plain, forced = _assert_same_solves(g)
+        unchecked += _unchecked(plain, forced)
+        bdim, new = plain["bdim"], plain["enum"]
+        assert (new.optimal_cost, new.broadcasts[0]) == (bdim.value, bdim.witness.values)
+    assert unchecked > 0
 
 
+def test_class_count_bound_holds_for_every_completion():
+    # best[r][z] bounds the classes that any strengths of total cost r on
+    # the vertices above z, within the caps, add to the codes of any
+    # prefix; gain[v][z] bounds what row (z, v) adds. Checked by brute
+    # force on broadcast rows and on adjacency rows (a set at strength 1).
+    rng = random.Random(20200515)
+    graphs = [g for g in labelled_graphs(4) if g.n > 1]
+    graphs += [families.random_graph(n, rng.uniform(0.2, 0.6), rng.randrange(2**31)) for n in (5, 6, 7) for _ in range(3)]
+    graphs += [families.random_tree(7, 4), families.cycle(7), disjoint_union(families.path(4), families.path(3))]
+    upto = 4
+
+    def classes(rows, vec):
+        return len(set(zip(*(rows[v][z] for z, v in enumerate(vec) if v)))) if any(vec) else 1
+
+    def completions(caps, z, r):
+        # Every strength vector on the vertices above z of total cost r.
+        if z == len(caps) - 1:
+            if r == 0:
+                yield ()
+            return
+        for v in range(min(r, caps[z + 1]) + 1):
+            for rest in completions(caps, z + 1, r - v):
+                yield (v, *rest)
+
+    for g in graphs:
+        n = g.n
+        d = all_pairs_distances(g)
+        caps = broadcast_value_caps(g, d)
+        broadcast = [None] + [
+            [truncated_row(drow, i, n) if i <= cap else None for drow, cap in zip(d.dist, caps)]
+            for i in range(1, max(caps) + 1)
+        ]
+        adjacency = (None, [truncated_row(drow, 1, n) for drow in d.dist])
+        for rows, caps in ((broadcast, caps), (adjacency, (1,) * n)):
+            gain, above = _class_gains(rows, n)
+            best = [[0] * n]
+            for _ in range(upto):
+                _grow_class_bound(best, above)
+            for z in range(n):
+                for _ in range(3):
+                    prefix = [rng.randint(0, caps[x]) for x in range(z)]
+                    base = classes(rows, prefix + [0] * (n - z))
+                    for v in range(1, caps[z] + 1):
+                        at = prefix + [v] + [0] * (n - z - 1)
+                        assert classes(rows, at) - base <= gain[v][z], (g.edges(), at)
+                    for r in range(upto + 1):
+                        for rest in completions(caps, z, r):
+                            vec = prefix + [0] + list(rest)
+                            assert classes(rows, vec) - base <= best[r][z], (g.edges(), vec, r)
 def test_cycle_and_path_of_order_10():
     _assert_same_solves(families.cycle(10))
     _assert_same_solves(families.path(10))
 
 
 def test_class_count_cut_counts_what_it_skips():
-    # Cycles and paths where the class-count cut or the split cut skips
+    # Cycles and paths where the class-count bound or the split cut skips
     # subtrees: the count of what they skipped must keep every field
     # equal to the oracle's.
     c12, c13, c14, c16 = (families.cycle(n) for n in (12, 13, 14, 16))
@@ -99,8 +198,8 @@ def test_class_count_cut_counts_what_it_skips():
     adim, adim_oracle = solve_adim, lambda g, d: seed_oracle.solve_dim_k(g, 1, d)
     cases += [(adim, adim_oracle, g, True) for g in (c12, c14, p12, p14)]
     dim2, dim2_oracle = (lambda g, d: solve_dim_k(g, 2, d)), (lambda g, d: seed_oracle.solve_dim_k(g, 2, d))
-    # On C12 neither cut skips a subtree; on C14 the split cut does,
-    # and on C16 both do.
+    # On C12 neither cut skips a subtree; on C14 and C16 the class-count
+    # bound does.
     cases += [(dim2, dim2_oracle, g, g.n > 12) for g in (c12, c14, c16)]
     for solve, oracle, g, cuts in cases:
         d = all_pairs_distances(g)
@@ -116,9 +215,8 @@ def test_class_count_cut_counts_what_it_skips():
 
 def test_class_count_cut_on_trees_with_twin_leaves():
     # Twin leaves bring twin groups into the counting walk and its memo
-    # key; the cycles and paths above have none. Every solve that enters
-    # counting mode, whichever cut sent it there, is checked against the
-    # oracle.
+    # key; the cycles and paths above have none. Every solve is checked
+    # against the oracle, whether or not a cut sent it into counting mode.
     adim_oracle = lambda g, d: seed_oracle.solve_dim_k(g, 1, d)
     kinds = ((solve_bdim, seed_oracle.solve_bdim), (solve_adim, adim_oracle))
     solves = cut = 0
@@ -131,10 +229,9 @@ def test_class_count_cut_on_trees_with_twin_leaves():
             for solve, oracle in kinds:
                 new = solve(g, d)
                 solves += 1
-                if new.candidates_checked < new.candidates_examined:
-                    cut += 1
-                    assert _fields(new) == _fields(oracle(g, d)), f"{new.kind} on tree n={n} seed={seed}"
-    assert (solves, cut) == (2 * 47, 93)
+                cut += new.candidates_checked < new.candidates_examined
+                assert _fields(new) == _fields(oracle(g, d)), f"{new.kind} on tree n={n} seed={seed}"
+    assert (solves, cut) == (2 * 47, 91)
 
 
 def test_pair_separation_test_matches_the_scan():
@@ -158,7 +255,7 @@ def test_pair_separation_test_matches_the_scan():
 
 
 def test_solves_that_prove_levels_empty():
-    # With the class cut idle, these solves prove the levels from the
+    # With the class-count bound idle, these solves prove the levels from the
     # first one with more candidates than the pair table has entries up
     # to the value empty, and count their candidates instead of checking
     # them: every field still matches the oracle.
@@ -175,12 +272,14 @@ def test_solves_that_prove_levels_empty():
         new = solve(g, d)
         assert _fields(new) == _fields(oracle(g, d)), f"{new.kind} on n={g.n} edges={g.edges()}"
         assert new.candidates_checked < new.candidates_examined
-        # The class cut skips nothing here, so the proof made the gap.
-        assert not any(_class_cuts((None, [truncated_row(row, k, g.n) for row in d.dist]), g.n, g.n))
-    # The class cut works on adim of C17 and P17, so the proof leaves them
-    # alone; the class and split cuts leave these candidates checked.
-    assert solve_adim(families.cycle(17)).candidates_checked == 573
-    assert solve_adim(families.path(17)).candidates_checked == 592
+        # The idle rule keeps the class-count bound off, so the proof made
+        # the gap.
+        assert _counting_idle([truncated_row(row, k, g.n) for row in d.dist], g.n)
+    # The class-count bound works on adim of C17 and P17, so the proof
+    # leaves them alone; the bound and the split cut leave these
+    # candidates checked.
+    assert solve_adim(families.cycle(17)).candidates_checked == 172
+    assert solve_adim(families.path(17)).candidates_checked == 176
 
 
 def test_no_pair_table_when_the_scan_ends_first(monkeypatch):
