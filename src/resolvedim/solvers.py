@@ -63,30 +63,37 @@ For sets, the exponential part of a solve is mostly the proof that no
 smaller set resolves, not the search for the witness. A set resolves
 exactly when it holds, for every pair of vertices, a landmark whose row
 separates them: a hitting set over pairs (Khuller, Raghavachari and
-Rosenfeld, 1996). So dim, dim_k and adim find the value first. From the
-first level whose candidates outnumber the entries of the pair table
-(`_pair_table`), each level is tested by a branch and bound over that
-table (`_separable`) before it is scanned; a level it shows empty is
-walked in counting mode, and the first level it cannot rule out is
-scanned for the lex-least witness. The test runs only when the
-class-count bound is idle and that level lies above the first one
-scanned (`_level_proof`); below it the scan runs as before. So the
-counts stay the same, and `candidates_checked` leaves out the proved
-levels too.
+Rosenfeld, 1996). From some level on (`_level_proof`), dim, dim_k and
+adim walk each level over the pair tables (`_pair_tables`) instead of
+codes: each node carries the bitmask of the pairs still open, a leaf
+resolves when its landmark separates all of them, and a node with cost
+r >= 2 left is walked in counting mode when a branch and bound over
+those tables (`_separable`) shows that no r landmarks above it separate
+them. At the root that is the proof that the level is empty; below it,
+it steers the walk to the lex-least witness. These levels run neither
+the class-count bound, which is idle on them, nor the split cut: the
+branch and bound fails first wherever an open pair has no separator
+above the node. The walk starts at the first level with more candidates
+than the pair table has entries, or at the first with more than
+4 * C(n, 2) when no checked leaf of the level before it comes within 2
+classes of resolving, and only above the first level scanned, at
+n >= 12, while the class-count bound is idle. So the counts stay the
+same, and `candidates_checked` leaves out the proved subtrees and levels
+too.
 
-The same pair view cuts inside the scan, for all four parameters: the
-split cut. Below a node whose last support vertex is z, with cost r >= 2
-left, every pair of vertices whose codes are still equal must be split
-by a landmark above z. A landmark that splits a pair at some strength
-splits it at every higher one, so none can do more than at strength
-min(r, its cap). The subtree is skipped when some pair has no such
-landmark, which one class list per strength decides for every pair at
-once (`_split_classes`); its candidates are counted, as below a class
+The split cut also works by pairs, inside the code scan, for all four
+parameters. Below a node whose last support vertex is z, with cost
+r >= 2 left, every pair of vertices whose codes are still equal must be
+split by a landmark above z. A landmark that splits a pair at some
+strength splits it at every higher one, so none can do more than at
+strength min(r, its cap). The subtree is skipped when some pair has no
+such landmark, which one class list per strength decides for every pair
+at once (`_split_classes`); its candidates are counted, as below a class
 count cut. The test starts once the scan has built the codes of n**2
 nodes per strength the level reads, n times as many codes as those class
 lists have entries, so a tiny solve builds none. It counts nodes built,
 not candidates checked, because the class-count bound leaves few leaves
-to check. Only the proof reads pair tables.
+to check. Only the set walk over the pair tables reads pair tables.
 
 Order-1 graphs take value 1 by convention for all parameters.
 """
@@ -97,7 +104,7 @@ from dataclasses import dataclass
 from itertools import accumulate, combinations, count, repeat
 from math import comb, inf
 from operator import add, mul, ne
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .graphs import DistanceMatrix, Graph, all_pairs_distances, build_graph, truncated_row
 from .resolution import Broadcast, is_resolving_broadcast
@@ -112,9 +119,11 @@ class SolverResult:
     witness: Union[tuple[int, ...], Broadcast]
     candidates_examined: int
     lower_bound_used: int
-    # The candidates whose codes were compared; the rest of those examined
-    # were counted at leaves or in subtrees that the class-count bound or
-    # the split cut skipped, or in levels the pair-separation proof showed
+    # The candidates tested for resolution: by their codes, or in a set
+    # level walked over the pair tables by the pairs their last landmark
+    # separates. The rest of those examined were counted at leaves or in
+    # subtrees that the class-count bound, the split cut or the
+    # pair-separation branch and bound skipped, or in levels it showed
     # empty.
     candidates_checked: int
 
@@ -198,14 +207,15 @@ def _search(
     groups,
     broadcast: bool,
     collect: bool = False,
-    empty: Optional[Callable[[int], bool]] = None,
+    proof: Optional[tuple[int, int]] = None,
 ) -> tuple[Optional[int], int, int, list[tuple[tuple[int, int], ...]]]:
     """Scan strength vectors level by level, each cost of `levels` in turn
     and lexicographic order within a cost, for ones whose codes are all
-    distinct; stop after the first level that has one. A level for which
-    `empty(cost)` holds is known to have no such vector: its candidates
-    are counted, not checked. `empty` is asked about each level in turn,
-    before it is scanned, and not after a level that resolves.
+    distinct; stop after the first level that has one. For a set, `proof`
+    is None or the levels (early, late) of `_level_proof`: every level
+    from late on, or from early on when the scan of level early - 1 checks
+    no leaf within 2 classes of n, is walked over the pair tables
+    (`descend`) instead of by codes.
 
     A vector is built one support vertex at a time: each step picks the
     next vertex z above the previous one and a strength 1 <= v <= caps[z],
@@ -228,8 +238,9 @@ def _search(
     falls short. The walk goes on there in counting mode, which counts the
     candidates without building or checking codes, and a leaf is counted
     without being checked. So it does below a node that the split cut
-    skips. A level `empty` rules out is walked from the root in counting
-    mode. Returns the cost reached (None if the levels ran out), the number
+    skips, and below a node of a pair-table level that the branch and
+    bound rules out; at the root, that counts the whole level. Returns
+    the cost reached (None if the levels ran out), the number
     of candidates examined, how many of those were checked, and the
     resolving vectors at that cost as (vertex, strength) pairs: the first
     one, or with `collect` all of them.
@@ -260,6 +271,10 @@ def _search(
     # `_split_classes` of its strength, made on first use.
     split: dict[int, list[list[int]]] = {}
     gate = 0
+    # A checked leaf resolves, or on the level before an early start of
+    # the pair-table walk comes within 2 classes of resolving, when its
+    # codes have at least `close` classes.
+    close = n
 
     def make_bound() -> None:
         nonlocal gain, above, best, bound_gate
@@ -284,7 +299,7 @@ def _search(
         the product only matter up to `need`, and `zeros` only on twin
         group members.
         """
-        nonlocal checked, built
+        nonlocal checked, built, close
         if codes is None:
             key = (last, rem, min(supp, need), min(weight, need), zeros & members)
             total = memo.get(key)
@@ -326,7 +341,10 @@ def _search(
                         total += 1
                         if missing and gain[1][z] < missing:
                             priced += 1
-                        elif len(set(map(add, codes, ones[z]))) == n:
+                        elif len(set(map(add, codes, ones[z]))) >= close:
+                            if close < n and len(set(map(add, codes, ones[z]))) < n:
+                                close = n  # a near miss: the proof keeps its late start
+                                continue
                             found.append((*path, (z, 1)))
                             if not collect:
                                 break
@@ -395,13 +413,80 @@ def _search(
             memo[key] = total
         return total
 
+    if proof is not None:
+        # The pair-table walk starts at level `proved`, or at `early` when
+        # the scan of the level before it had no near miss; its tables are
+        # made on first use.
+        early, proved = proof
+        seps = covers = None
+
+        def descend(open_: int, last: int, rem: int, zeros: int) -> int:
+            """Walk a set level as `extend` does, carrying the bitmask of
+            the pairs no landmark of the set so far separates instead of
+            codes, and return the number of candidates examined below this
+            node.
+
+            A node with rem >= 2 whose open pairs no `rem` landmarks above
+            `last` can separate (`_separable`) is walked in counting mode,
+            and a leaf resolves when its landmark separates every open
+            pair.
+            """
+            nonlocal checked
+            above_last = top - (1 << (last + 1))
+            if rem > 1 and not _separable(seps, covers, rem, open_, above_last):
+                return extend(None, last, rem, 0, 1, zeros, 0)
+            # The twin groups bound and owe support vertices as in `extend`.
+            hi = n
+            owed = owing = still = skipped = 0
+            if masks:
+                for m in masks:
+                    t = (zeros | above_last) & m
+                    u = t & (t - 1)
+                    if u:
+                        hi = min(hi, (u & -u).bit_length())
+                        owed += t.bit_count() - 1
+                        owing |= t
+            total = 0
+            if rem == 1:
+                for z in range(last + 1, hi):
+                    if owed > owing >> z & 1:
+                        continue
+                    total += 1
+                    if not open_ & ~covers[z]:
+                        found.append((*path, (z, 1)))
+                        break
+                checked += total
+                return total
+            # z leaves at least the rem - 1 vertices the set still takes above it.
+            for z in range(last + 1, min(hi, n + 1 - rem)):
+                if masks:
+                    still = owed - (owing >> z & 1)
+                    if still >= rem:
+                        continue
+                    skipped = zeros | ((1 << z) - (1 << (last + 1)))
+                path.append((z, 1))
+                total += descend(open_ & ~covers[z], z, rem - 1, skipped)
+                if found:
+                    return total
+                path.pop()
+            return total
+
     start = [0] * n
     examined = 0
     for cost in levels:
         if cost + (1 << cost) >= need:
-            if empty is not None and empty(cost):
-                examined += extend(None, -1, cost, 0, 1, 0, 0)
-                continue
+            if proof is not None:
+                if close < n:  # the level before `early` had no near miss
+                    proved = early
+                if cost >= proved:
+                    if seps is None:
+                        seps, covers = _pair_tables(ones)
+                    examined += descend((1 << len(seps)) - 1, -1, cost, 0)
+                    if found:
+                        return cost, examined, checked, found
+                    continue
+                if cost + 1 == early:
+                    close = n - 2
             # A node reads best[r] for the cost r left below it, r < cost.
             level = cost
             if built >= bound_gate:
@@ -439,8 +524,9 @@ def solve_adim(g: Graph, d: Optional[DistanceMatrix] = None) -> SolverResult:
 
 def _solve_truncated(g: Graph, k: int, d: Optional[DistanceMatrix], kind: str) -> SolverResult:
     """Search vertex subsets by ascending size, lexicographic within a size,
-    each landmark's row truncated at k + 1; the pair-separation proof
-    (`_level_proof`) rules out the large levels below the value."""
+    each landmark's row truncated at k + 1; from the levels `_level_proof`
+    picks, the pair tables rule out the levels below the value and steer
+    the walk to the witness."""
     n = g.n
     if n == 0:
         raise ValueError("graph has no vertices")
@@ -453,86 +539,84 @@ def _solve_truncated(g: Graph, k: int, d: Optional[DistanceMatrix], kind: str) -
     rows = d.dist if k + 1 >= n else [truncated_row(row, k, n) for row in d.dist]
     twins = d.twins
     lb = max(1, twins.forced_minimum())
-    empty = _level_proof(rows, n, lb, twins.groups)
-    size, examined, checked, found = _search((None, rows), (1,) * n, range(lb, n), twins.groups, False, empty=empty)
+    proof = _level_proof(rows, n, lb, twins.groups)
+    size, examined, checked, found = _search((None, rows), (1,) * n, range(lb, n), twins.groups, False, proof=proof)
     if size is None:
         raise RuntimeError("subset search exhausted without a resolving set")
     return SolverResult(kind, size, next(zip(*found[0])), examined, lb, checked)
 
 
-def _level_proof(rows, n: int, lb: int, groups) -> Optional[Callable[[int], bool]]:
-    """Return the `empty` test of a subset search over the landmark rows
-    `rows` from level lb, or None when the proof does not run.
+def _level_proof(rows, n: int, lb: int, groups) -> Optional[tuple[int, int]]:
+    """Return the levels (early, late) from which a subset search over the
+    landmark rows `rows`, from level lb, walks each level by the pair
+    tables, or None when it never does.
 
-    It runs when the class-count bound is idle (`_counting_idle`: some row
-    gains at least (n - 2)/2 classes) and the first level L that holds
-    more candidates than the pair table has entries, n * C(n, 2), lies
-    above lb. The scan checks the levels below L as before, so the
-    table is built only after the scan has checked a whole level with
-    more than 1/n as many candidates as the table has entries, and never
-    for a solve whose witness lies below L. From L on, a level
-    is empty exactly when no set of that size separates every pair
-    (`_separable`); a larger set resolves whenever a smaller one does, so
-    the first level it does not rule out is the value.
+    The tables run only when the class-count bound is idle
+    (`_counting_idle`: some row gains at least (n - 2)/2 classes), n >= 12,
+    and the first level `late` that holds more candidates than the pair
+    table has entries, n * C(n, 2), lies above lb. The search starts at
+    `late`, unless the first level `early` with more than 4 * C(n, 2)
+    candidates lies above lb too and no checked leaf of level early - 1
+    comes within 2 classes of resolving; then it starts at `early`. A
+    near miss says the value is likely early itself, where the tables and
+    a branch and bound that succeeds would be pure waste. The scan checks
+    the levels below the start as before, so a solve whose witness lies
+    there builds no table. From the start on, a level is empty exactly
+    when no set of that size separates every pair (`_separable`); a
+    larger set resolves whenever a smaller one does, so the first level
+    it does not rule out is the value, and the same branch and bound
+    steers its walk to the lex-least witness.
     """
-    entries = n * comb(n, 2)
-    if comb(n, n // 2) <= entries:
-        # No level can outnumber the table: n <= 11.
+    pairs = comb(n, 2)
+    if comb(n, n // 2) <= n * pairs or not _counting_idle(rows, n):
+        # n <= 11, where no level can outnumber the table, or the
+        # class-count bound works.
         return None
     # cands[s]: the s-subsets that leave at most one member of each twin
-    # group out, i.e. the candidates of level s.
-    cands = [1]
+    # group out, i.e. the candidates of level s; the groups of one vertex
+    # add a binomial factor.
+    singles = sum(len(grp) == 1 for grp in groups)
+    cands = [comb(singles, s) for s in range(singles + 1)]
     for grp in groups:
         m = len(grp)
-        nxt = [0] * (len(cands) + m)
-        for s, c in enumerate(cands):
-            nxt[s + m] += c
-            nxt[s + m - 1] += c * m
-        cands = nxt
-    big = next((size for size in range(lb, n) if cands[size] > entries), None)
-    if big is None or big == lb or not _counting_idle(rows, n):
+        if m > 1:
+            nxt = [0] * (len(cands) + m)
+            for s, c in enumerate(cands):
+                nxt[s + m] += c
+                nxt[s + m - 1] += c * m
+            cands = nxt
+    late = next((size for size in range(lb, n) if cands[size] > n * pairs), None)
+    if late is None or late == lb:
         return None
-    tables: list[list[int]] = []  # `_pair_table` and `_pair_covers`, on first use
-
-    def empty(size: int) -> bool:
-        if size < big:
-            return False
-        if not tables:
-            tables.extend((_pair_table(rows), _pair_covers(rows)))
-        return not _separable(*tables, size)
-
-    return empty
+    early = next(size for size in range(lb, late + 1) if cands[size] > 4 * pairs)
+    return (early if early > lb else late), late
 
 
 _BITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-def _pair_table(rows) -> list[int]:
-    """Return the pair-separation table of the rows of n >= 2 landmarks:
-    for each pair x < y, in `combinations` order, the bitmask of the
-    landmarks z with rows[z][x] != rows[z][y]. Each mask is spelled out as
-    a binary numeral, highest bit first, and parsed by `int`."""
-    # cols[x][j] = rows[n - 1 - j][x]: landmark n - 1 first.
-    cols = [col[::-1] for col in zip(*rows)]
-    pairs = combinations(range(len(rows)), 2)
-    return [int(bytes(map(ne, cols[x], cols[y])).translate(_BITS), 2) for x, y in pairs]
+def _pair_tables(rows) -> tuple[list[int], list[int]]:
+    """Return (seps, covers), the pair-separation tables of the symmetric
+    rows of n >= 2 landmarks: seps[p], for the p-th pair x < y in
+    `combinations` order, is the bitmask of the landmarks z with
+    rows[z][x] != rows[z][y], and covers[z] the bitmask of the pairs z
+    separates, bit p for the p-th pair.
+
+    rows[z][x] = rows[x][z], so pair (x, y) compares rows x and y entry by
+    entry; its comparison, spelled out as a binary numeral from landmark
+    n - 1 down and parsed by `int`, is seps[p], and the columns of those
+    numerals, from the last pair up, are the numerals of the covers.
+    """
+    back = [row[::-1] for row in rows]
+    bits = [bytes(map(ne, back[x], back[y])).translate(_BITS) for x, y in combinations(range(len(rows)), 2)]
+    covers = [int(bytes(col), 2) for col in zip(*reversed(bits))]
+    return [int(sep, 2) for sep in bits], covers[::-1]
 
 
-def _pair_covers(rows) -> list[int]:
-    """Return, for each of the rows of n >= 2 landmarks, the bitmask of
-    the pairs it separates: bit p for the p-th pair of `_pair_table`."""
-    pairs = list(combinations(range(len(rows)), 2))
-    xs = [x for x, _ in reversed(pairs)]
-    ys = [y for _, y in reversed(pairs)]
-    return [
-        int(bytes(map(ne, map(row.__getitem__, xs), map(row.__getitem__, ys))).translate(_BITS), 2)
-        for row in rows
-    ]
-
-
-def _separable(seps: list[int], covers: list[int], budget: int) -> bool:
-    """Whether at most `budget` landmarks separate every pair of a
-    `_pair_table`: a branch and bound over hitting sets.
+def _separable(seps: list[int], covers: list[int], budget: int, open_: int, avail: int) -> bool:
+    """Whether at most `budget` >= 1 of the landmarks in the bitmask
+    `avail` separate every pair in the bitmask `open_`, for the tables of
+    `_pair_tables`: a branch and bound over hitting sets.
 
     A node branches on the open pair with the fewest landmarks still
     available, taking each of them in turn and excluding it from the
@@ -579,7 +663,7 @@ def _separable(seps: list[int], covers: list[int], budget: int) -> bool:
             sep ^= low
         return False
 
-    return feasible((1 << len(seps)) - 1, (1 << len(covers)) - 1, budget)
+    return not open_ or feasible(open_, avail, budget)
 
 
 def broadcast_value_caps(g: Graph, d: Optional[DistanceMatrix] = None) -> tuple[int, ...]:

@@ -3,13 +3,15 @@
 `seed_oracle` keeps the scans the solvers used before the incremental
 kernel. Every solver must return the same value, witness, candidate count
 and starting lower bound, and the enumerator the same broadcasts, also
-where the kernel skips subtrees by class count or by the split cut and
-counts their candidates without checking them.
+where the kernel skips subtrees by class count, by the split cut or by
+the branch and bound over the pair tables, and counts their candidates
+without checking them.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 import seed_oracle
@@ -31,8 +33,7 @@ from resolvedim.solvers import (
     _class_gains,
     _counting_idle,
     _grow_class_bound,
-    _pair_covers,
-    _pair_table,
+    _pair_tables,
     _separable,
     broadcast_value_caps,
 )
@@ -56,14 +57,27 @@ def _solve_all(g, d):
     }
 
 
+def _solve_sets(g, d):
+    """The set solvers' results on g."""
+    return {
+        "dim": solve_dim(g, d),
+        "adim": solve_adim(g, d),
+        "dim_1": solve_dim_k(g, 1, d),
+        "dim_2": solve_dim_k(g, 2, d),
+        "dim_3": solve_dim_k(g, 3, d),
+    }
+
+
 def _assert_same_solves(g, d=None, enum_oracle=None):
     """Compare every solver with the oracle on g, and the enumerator with
-    `enum_oracle` if given, else with its own default run; return both
-    runs' results (`_solve_all`).
+    `enum_oracle` if given, else with its own default run; return the
+    three runs' results (`_solve_all`, and `_solve_sets` for the third).
 
     Each solve runs twice: as it is, and with the class-count bound made
     from the first node on, which its gate and the idle rule otherwise
-    keep off on graphs this small. The oracle runs once."""
+    keep off on graphs this small. The set solves run a third time, with
+    every level from lb on walked by the pair tables, which the gate
+    otherwise keeps for orders of 12 and more. The oracle runs once."""
     if d is None:
         d = all_pairs_distances(g)
     adim_oracle = seed_oracle.solve_dim_k(g, 1, d)  # adim is dim_1
@@ -80,26 +94,32 @@ def _assert_same_solves(g, d=None, enum_oracle=None):
         mp.setattr(solvers, "_bound_gate", lambda caps: 0)
         mp.setattr(solvers, "_counting_idle", lambda ones, n: False)
         forced = _solve_all(g, d)
+        mp.setattr(solvers, "_level_proof", lambda rows, n, lb, groups: (lb, lb))
+        steered = _solve_sets(g, d)
     if enum_oracle is None:
         enum_oracle = plain["enum"]
+    for run in (plain, forced, steered):
+        for kind, solved in run.items():
+            if kind != "enum":
+                assert _fields(solved) == _fields(oracle[kind]), f"{kind} on n={g.n} edges={g.edges()}"
     for run in (plain, forced):
-        for kind, old in oracle.items():
-            assert _fields(run[kind]) == _fields(old), f"{kind} on n={g.n} edges={g.edges()}"
         assert run["enum"] == enum_oracle, f"n={g.n} edges={g.edges()}"
-    return plain, forced
+    return plain, forced, steered
 
 
 def _unchecked(plain, forced):
-    """How many fewer candidates the solvers checked with the bound forced."""
-    return sum(plain[kind].candidates_checked - forced[kind].candidates_checked for kind in plain if kind != "enum")
+    """How many fewer candidates the solvers of `forced` checked than those
+    of `plain`."""
+    return sum(plain[kind].candidates_checked - forced[kind].candidates_checked for kind in forced if kind != "enum")
 
 
 def test_every_labelled_graph_up_to_order_5():
-    count = unchecked = 0
+    count = unchecked = pruned = 0
     for g in labelled_graphs(5):
         d = all_pairs_distances(g)
-        plain, forced = _assert_same_solves(g, d, seed_oracle.enumerate_min_broadcasts(g, d))
+        plain, forced, steered = _assert_same_solves(g, d, seed_oracle.enumerate_min_broadcasts(g, d))
         unchecked += _unchecked(plain, forced)
+        pruned += _unchecked(plain, steered)
         bdim, new = plain["bdim"], plain["enum"]
         # The enumerator is bdim's search collecting every resolving
         # vector: its cost is the value and its first broadcast the witness.
@@ -108,11 +128,15 @@ def test_every_labelled_graph_up_to_order_5():
         )
         count += 1
     assert count == 1 + 2 + 8 + 64 + 1024
-    # The forced bound did cut.
+    # The forced bound did cut, and so did the branch and bound that
+    # steers the walk over the pair tables.
     assert unchecked > 0
+    assert pruned > 0
 
 
-def test_seeded_random_graphs_and_trees():
+def _seeded_graphs():
+    """G(n, p) graphs and trees of orders 6..9, and one disconnected graph
+    of each order."""
     rng = random.Random(20050731)
     graphs = []
     for n in range(6, 10):
@@ -125,13 +149,20 @@ def test_seeded_random_graphs_and_trees():
         g = disjoint_union(families.random_tree(n - 3, n), families.path(3))
         assert not metric_profile(g).connected
         graphs.append(g)
-    unchecked = 0
+    return graphs
+
+
+def test_seeded_random_graphs_and_trees():
+    graphs = _seeded_graphs()
+    unchecked = pruned = 0
     for g in graphs:
-        plain, forced = _assert_same_solves(g)
+        plain, forced, steered = _assert_same_solves(g)
         unchecked += _unchecked(plain, forced)
+        pruned += _unchecked(plain, steered)
         bdim, new = plain["bdim"], plain["enum"]
         assert (new.optimal_cost, new.broadcasts[0]) == (bdim.value, bdim.witness.values)
     assert unchecked > 0
+    assert pruned > 0
 
 
 def test_class_count_bound_holds_for_every_completion():
@@ -247,18 +278,84 @@ def test_pair_separation_test_matches_the_scan():
         for k, oracle in ((n - 1, seed_oracle.solve_dim), (1, None), (2, None), (3, None)):
             value = (oracle(g, d) if oracle else seed_oracle.solve_dim_k(g, k, d)).value
             rows = [truncated_row(row, k, n) for row in d.dist]
-            seps, covers = _pair_table(rows), _pair_covers(rows)
+            seps, covers = _pair_tables(rows)
             for budget in range(1, n):
-                assert _separable(seps, covers, budget) == (budget >= value), (
+                assert _separable(seps, covers, budget, (1 << len(seps)) - 1, (1 << n) - 1) == (budget >= value), (
                     f"k={k} budget={budget} n={n} edges={g.edges()}"
                 )
 
 
+def test_pair_tables_match_their_definition():
+    # seps[p] holds the landmarks whose rows differ on the p-th pair, and
+    # covers[z] the pairs that landmark z's row splits, on every labelled
+    # graph of order 2 to 5 at four truncations.
+    for g in labelled_graphs(5):
+        n = g.n
+        if n < 2:
+            continue
+        d = all_pairs_distances(g)
+        pairs = list(combinations(range(n), 2))
+        for k in sorted({1, 2, 3, n - 1}):
+            rows = [truncated_row(row, k, n) for row in d.dist]
+            splits = [[rows[z][x] != rows[z][y] for z in range(n)] for x, y in pairs]
+            seps = [sum(1 << z for z in range(n) if split[z]) for split in splits]
+            covers = [sum(1 << p for p, split in enumerate(splits) if split[z]) for z in range(n)]
+            assert _pair_tables(rows) == (seps, covers), f"k={k} n={n} edges={g.edges()}"
+
+
+def test_plain_set_solves_build_no_pair_table(monkeypatch):
+    # The tables wait for orders of 12 and more: no plain set solve of the
+    # graphs the steered walk is compared on above, or of G(11, p), builds
+    # one.
+    def refuse(rows):
+        raise AssertionError("pair table built")
+
+    rng = random.Random(20111)
+    graphs = list(labelled_graphs(5)) + _seeded_graphs()
+    graphs += [families.random_graph(11, p, rng.randrange(2**31)) for p in (0.2, 0.3, 0.5, 0.7) for _ in range(2)]
+    monkeypatch.setattr(solvers, "_pair_tables", refuse)
+    for g in graphs:
+        d = all_pairs_distances(g)
+        _solve_sets(g, d)
+
+
+def test_proof_starts_early_unless_the_level_before_comes_close(monkeypatch):
+    # dim of G(26, 0.3), seed 0, is 5. Level 3 is the first with more
+    # candidates than 4 * C(26, 2), level 4 the first with more than the
+    # pair table has entries, and no 2-set comes within 2 classes of
+    # resolving, so the tables prove levels 3 and 4 empty and steer the
+    # walk of level 5. dim of this G(12, 0.5) is 4, its first such level:
+    # a 3-set comes within 2 classes, so the proof keeps its late start,
+    # level 6, and builds no table.
+    roots = []
+    separable = solvers._separable
+
+    def spy(seps, covers, budget, open_, avail):
+        if avail == (1 << len(covers)) - 1:
+            roots.append(budget)
+        return separable(seps, covers, budget, open_, avail)
+
+    monkeypatch.setattr(solvers, "_separable", spy)
+    g26 = families.random_graph(26, 0.3, 0)
+    assert solvers._level_proof(all_pairs_distances(g26).dist, 26, 1, twin_partition(g26).groups) == (3, 4)
+    assert solve_dim(g26).value == 5
+    assert roots == [3, 4, 5]
+
+    def refuse(rows):
+        raise AssertionError("pair table built")
+
+    monkeypatch.setattr(solvers, "_pair_tables", refuse)
+    g12 = families.random_graph(12, 0.5, 12013)
+    assert solvers._level_proof(all_pairs_distances(g12).dist, 12, 1, twin_partition(g12).groups) == (4, 6)
+    res = solve_dim(g12)
+    assert (res.value, res.candidates_checked) == (4, res.candidates_examined)
+
+
 def test_solves_that_prove_levels_empty():
-    # With the class-count bound idle, these solves prove the levels from the
-    # first one with more candidates than the pair table has entries up
-    # to the value empty, and count their candidates instead of checking
-    # them: every field still matches the oracle.
+    # With the class-count bound idle, these solves prove the levels from
+    # the one `_level_proof` picks up to the value empty, and count their
+    # candidates instead of checking them: every field still matches the
+    # oracle.
     dim2, dim2_oracle = (lambda g, d: solve_dim_k(g, 2, d)), (lambda g, d: seed_oracle.solve_dim_k(g, 2, d))
     adim_oracle = lambda g, d: seed_oracle.solve_dim_k(g, 1, d)
     cases = [(solve_dim, seed_oracle.solve_dim, 25, families.random_graph(26, 0.3, s)) for s in (0, 3, 8)]
@@ -284,12 +381,13 @@ def test_solves_that_prove_levels_empty():
 
 def test_no_pair_table_when_the_scan_ends_first(monkeypatch):
     # Below the first proved level the scan runs as before, and a witness
-    # there ends the solve: a path of order 300 passes the gate (L = 4,
-    # a table of 13 million entries) but resolves at level 1.
+    # there ends the solve: a path of order 300 passes the gate (the walk
+    # over a table of 13 million entries would start at level 3 or 4) but
+    # resolves at level 1.
     def refuse(rows):
         raise AssertionError("pair table built")
 
-    monkeypatch.setattr(solvers, "_pair_table", refuse)
+    monkeypatch.setattr(solvers, "_pair_tables", refuse)
     res = solve_dim(families.path(300))
     assert (res.value, res.witness, res.candidates_checked) == (1, (0,), 1)
 
@@ -329,7 +427,7 @@ def test_split_cut_keeps_every_field(monkeypatch):
 
 
 def test_bdim_never_builds_a_pair_table(monkeypatch):
-    # Only the set proof reads pair tables; bdim and the enumerator cut
+    # Only the set walk reads pair tables; bdim and the enumerator cut
     # with the split cut's class lists alone, and solve as before.
     def refuse(*args):
         raise AssertionError("built")
@@ -337,7 +435,7 @@ def test_bdim_never_builds_a_pair_table(monkeypatch):
     graphs = [families.grid((3, 5)), families.cycle(16), families.path(14)]
     c10 = families.cycle(10)
     before = [solve_bdim(g) for g in graphs], enumerate_min_broadcasts(c10)
-    monkeypatch.setattr(solvers, "_pair_table", refuse)
+    monkeypatch.setattr(solvers, "_pair_tables", refuse)
     assert ([solve_bdim(g) for g in graphs], enumerate_min_broadcasts(c10)) == before
     # The split cut's gate: no solve of a graph of order 5 or less checks
     # as many candidates as the class lists it would build have entries.
