@@ -69,17 +69,19 @@ codes: each node carries the bitmask of the pairs still open, a leaf
 resolves when its landmark separates all of them, and a node with cost
 r >= 2 left is walked in counting mode when a branch and bound over
 those tables (`_separable`) shows that no r landmarks above it separate
-them. At the root that is the proof that the level is empty; below it,
-it steers the walk to the lex-least witness. These levels run neither
-the class-count bound, which is idle on them, nor the split cut: the
-branch and bound fails first wherever an open pair has no separator
-above the node. The walk starts at the first level with more candidates
-than the pair table has entries, or at the first with more than
-4 * C(n, 2) when no checked leaf of the level before it comes within 2
-classes of resolving, and only above the first level scanned, at
-n >= 12, while the class-count bound is idle. So the counts stay the
-same, and `candidates_checked` leaves out the proved subtrees and levels
-too.
+them. The tables number the pairs by ascending count of separators, so
+the branch and bound branches on the lowest open pair, the rarest, with
+one big-int step per branch and none per open pair. At the root that is
+the proof that the level is empty; below it, it steers the walk to the
+lex-least witness. These levels run neither the class-count bound,
+which is idle on them, nor the split cut: the branch and bound fails
+wherever an open pair has no separator above the node. The walk starts
+at the first level with more candidates than the pair table has
+entries, or at the first with more than 4 * C(n, 2) when no checked
+leaf of the level before it comes within 2 classes of resolving, and
+only above the first level scanned, at n >= 12, while the class-count
+bound is idle. So the counts stay the same, and `candidates_checked`
+leaves out the proved subtrees and levels too.
 
 The split cut also works by pairs, inside the code scan, for all four
 parameters. Below a node whose last support vertex is z, with cost
@@ -597,18 +599,23 @@ _BITS = bytes.maketrans(b"\x00\x01", b"01")
 
 def _pair_tables(rows) -> tuple[list[int], list[int]]:
     """Return (seps, covers), the pair-separation tables of the symmetric
-    rows of n >= 2 landmarks: seps[p], for the p-th pair x < y in
-    `combinations` order, is the bitmask of the landmarks z with
-    rows[z][x] != rows[z][y], and covers[z] the bitmask of the pairs z
-    separates, bit p for the p-th pair.
+    rows of n >= 2 landmarks: seps[p] is the bitmask of the landmarks z
+    with rows[z][x] != rows[z][y] for the p-th pair x < y, and covers[z]
+    the bitmask of the pairs z separates, bit p for the p-th pair.
 
-    rows[z][x] = rows[x][z], so pair (x, y) compares rows x and y entry by
-    entry; its comparison, spelled out as a binary numeral from landmark
-    n - 1 down and parsed by `int`, is seps[p], and the columns of those
-    numerals, from the last pair up, are the numerals of the covers.
+    The pairs are numbered by ascending count of separators, ties in
+    `combinations` order, so the lowest bit of any mask of pairs is the
+    pair in it with the fewest separators. rows[z][x] = rows[x][z], so
+    pair (x, y) compares rows x and y entry by entry; its comparison,
+    spelled out as a binary numeral from landmark n - 1 down and parsed by
+    `int`, is its entry of seps, and the columns of those numerals, from
+    the last pair up, are the numerals of the covers.
     """
     back = [row[::-1] for row in rows]
-    bits = [bytes(map(ne, back[x], back[y])).translate(_BITS) for x, y in combinations(range(len(rows)), 2)]
+    bits = sorted(
+        (bytes(map(ne, back[x], back[y])).translate(_BITS) for x, y in combinations(range(len(rows)), 2)),
+        key=lambda sep: sep.count(b"1"),
+    )
     covers = [int(bytes(col), 2) for col in zip(*reversed(bits))]
     return [int(sep, 2) for sep in bits], covers[::-1]
 
@@ -618,48 +625,23 @@ def _separable(seps: list[int], covers: list[int], budget: int, open_: int, avai
     `avail` separate every pair in the bitmask `open_`, for the tables of
     `_pair_tables`: a branch and bound over hitting sets.
 
-    A node branches on the open pair with the fewest landmarks still
-    available, taking each of them in turn and excluding it from the
-    branches after its own, so every hitting set lies in some branch.
-    Pairs whose available separators are pairwise disjoint each need a
-    landmark of their own, so a node is cut when a greedy packing of such
-    pairs, fewest separators first, holds more pairs than the budget left.
+    Every hitting set holds a separator of the lowest open pair, the one
+    with the fewest separators. A node takes each of its available
+    separators in turn and excludes it from the branches after its own,
+    so every hitting set lies in some branch; a branch fails when its
+    budget runs out with a pair still open. There is no other cut: each
+    node reads one entry of `seps`, and one of `covers` per branch,
+    however many pairs are open.
     """
 
     def feasible(open_: int, avail: int, budget: int) -> bool:
-        if budget == 1:
-            # One landmark must separate every open pair.
-            while open_:
-                low = open_ & -open_
-                avail &= seps[low.bit_length() - 1]
-                if not avail:
-                    return False
-                open_ ^= low
-            return True
-        options = []
-        rest = open_
-        while rest:
-            low = rest & -rest
-            sep = seps[low.bit_length() - 1] & avail
-            if not sep:
-                return False
-            options.append((sep.bit_count(), sep))
-            rest ^= low
-        options.sort()
-        used = packed = 0
-        for _, sep in options:
-            if not sep & used:
-                used |= sep
-                packed += 1
-                if packed > budget:
-                    return False
-        sep = options[0][1]
+        sep = seps[(open_ & -open_).bit_length() - 1] & avail
         while sep:
             low = sep & -sep
-            rest = open_ & ~covers[low.bit_length() - 1]
-            if not rest or feasible(rest, avail ^ low, budget - 1):
-                return True
             avail ^= low
+            rest = open_ & ~covers[low.bit_length() - 1]
+            if not rest or budget > 1 and feasible(rest, avail, budget - 1):
+                return True
             sep ^= low
         return False
 

@@ -11,7 +11,9 @@ without checking them.
 from __future__ import annotations
 
 import random
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 import pytest
 import seed_oracle
@@ -285,10 +287,59 @@ def test_pair_separation_test_matches_the_scan():
                 )
 
 
+def test_pair_separation_test_on_sub_states():
+    # The branch and bound is asked about sub-states too: the pairs a
+    # prefix leaves open and the landmarks above its last. On random
+    # (open, avail) masks at budgets 1 to 3 it must say whether some
+    # `budget` landmarks of avail separate every open pair, by brute force.
+    rng = random.Random(19960924)
+    graphs = [g for g in labelled_graphs(5) if g.n > 1]
+    graphs += [families.random_graph(n, rng.uniform(0.1, 0.7), rng.randrange(2**31)) for n in (6, 7, 8) for _ in range(4)]
+    checks = 0
+    for g in graphs:
+        n = g.n
+        d = all_pairs_distances(g)
+        for k in sorted({1, n - 1}):
+            seps, covers = _pair_tables([truncated_row(row, k, n) for row in d.dist])
+            for _ in range(2):
+                open_, avail = rng.getrandbits(len(seps)), rng.getrandbits(n)
+                landmarks = [z for z in range(n) if avail >> z & 1]
+                for budget in (1, 2, 3):
+                    sets = combinations(landmarks, min(budget, len(landmarks)))
+                    brute = any(not open_ & ~reduce(or_, (covers[z] for z in s), 0) for s in sets)
+                    assert _separable(seps, covers, budget, open_, avail) == brute, (
+                        f"k={k} budget={budget} open={open_:b} avail={avail:b} n={n} edges={g.edges()}"
+                    )
+                    checks += 1
+    # Order 2 has one truncation, k = 1 = n - 1.
+    assert checks == 3 * 2 * (2 + 2 * (8 + 64 + 1024 + 12))
+
+
+def test_pair_separation_reads_few_table_entries():
+    # Each node of the branch and bound reads the table entry of its
+    # lowest open pair and one per branch, not one per open pair: the
+    # proofs that no 3 or 4 landmarks of G(26, 0.3), seed 0, resolve it
+    # read under 1,000 and 5,000 entries.
+    class Counting(list):
+        reads = 0
+
+        def __getitem__(self, i):
+            Counting.reads += 1
+            return super().__getitem__(i)
+
+    n = 26
+    seps, covers = _pair_tables(all_pairs_distances(families.random_graph(n, 0.3, 0)).dist)
+    for budget, most in ((3, 1000), (4, 5000)):
+        Counting.reads = 0
+        assert not _separable(Counting(seps), Counting(covers), budget, (1 << len(seps)) - 1, (1 << n) - 1)
+        assert Counting.reads < most, (budget, Counting.reads)
+
+
 def test_pair_tables_match_their_definition():
     # seps[p] holds the landmarks whose rows differ on the p-th pair, and
     # covers[z] the pairs that landmark z's row splits, on every labelled
-    # graph of order 2 to 5 at four truncations.
+    # graph of order 2 to 5 at four truncations; the pairs are numbered by
+    # ascending count of separators, ties in `combinations` order.
     for g in labelled_graphs(5):
         n = g.n
         if n < 2:
@@ -298,6 +349,7 @@ def test_pair_tables_match_their_definition():
         for k in sorted({1, 2, 3, n - 1}):
             rows = [truncated_row(row, k, n) for row in d.dist]
             splits = [[rows[z][x] != rows[z][y] for z in range(n)] for x, y in pairs]
+            splits.sort(key=sum)
             seps = [sum(1 << z for z in range(n) if split[z]) for split in splits]
             covers = [sum(1 << p for p, split in enumerate(splits) if split[z]) for z in range(n)]
             assert _pair_tables(rows) == (seps, covers), f"k={k} n={n} edges={g.edges()}"
