@@ -117,7 +117,7 @@ class DistanceMatrix:
                     path.append(cur)
                 path.reverse()
                 legs.append(tuple(path[1:]))
-            exterior.append(ExteriorMajor(v, tuple(terms), tuple(legs)))
+            exterior.append(ExteriorMajor(v, tuple(legs)))
         spider = None
         if len(majors) == 1:
             c = majors[0]
@@ -206,11 +206,10 @@ def twin_partition(g: Graph) -> TwinPartition:
 class MetricProfile:
     """Eccentricities, diameter, and connectivity of a graph.
 
-    `diameter` is the sentinel n when g is disconnected; the `finite_*`
-    fields ignore unreachable pairs.
+    `diameter` is the sentinel n, the graph's order, when g is
+    disconnected; the `finite_*` fields ignore unreachable pairs.
     """
 
-    n: int
     finite_eccentricities: tuple[int, ...]
     diameter: int
     finite_diameter: int
@@ -227,7 +226,6 @@ def metric_profile(g: Graph, d: Optional[DistanceMatrix] = None) -> MetricProfil
     eccs = tuple(max((x for x in row if x < n), default=0) for row in d.dist)
     finite_diameter = max(eccs, default=0)
     return MetricProfile(
-        n=n,
         finite_eccentricities=eccs,
         diameter=finite_diameter if connected else n,
         finite_diameter=finite_diameter,
@@ -255,14 +253,13 @@ class SpiderShape:
 
 @dataclass(frozen=True)
 class ExteriorMajor:
-    """A major vertex with its terminal leaves and the legs reaching them.
+    """A major vertex with the legs reaching its terminal leaves.
 
-    Legs exclude the major vertex itself and end at the matching terminal,
-    aligned index-by-index with `terminals`.
+    Each leg excludes the major vertex itself and ends at its terminal
+    leaf.
     """
 
     vertex: int
-    terminals: tuple[int, ...]
     legs: tuple[tuple[int, ...], ...]
 
 

@@ -75,13 +75,13 @@ one big-int step per branch and none per open pair. At the root that is
 the proof that the level is empty; below it, it steers the walk to the
 lex-least witness. These levels run neither the class-count bound,
 which is idle on them, nor the split cut: the branch and bound fails
-wherever an open pair has no separator above the node. The walk starts
-at the first level with more candidates than the pair table has
-entries, or at the first with more than 4 * C(n, 2) when no checked
-leaf of the level before it comes within 2 classes of resolving, and
-only above the first level scanned, at n >= 12, while the class-count
-bound is idle. So the counts stay the same, and `candidates_checked`
-leaves out the proved subtrees and levels too.
+wherever an open pair has no separator above the node. At n >= 12,
+while the class-count bound is idle, the walk starts at the first level
+above the first one scanned that has more than 4 * C(n, 2) subsets. A
+level whose predecessor's scan checked a leaf within 2 classes of
+resolving is scanned instead, so each near miss defers the walk by one
+level. So the counts stay the same, and `candidates_checked` leaves out
+the proved subtrees and levels too.
 
 The split cut also works by pairs, inside the code scan, for all four
 parameters. Below a node whose last support vertex is z, with cost
@@ -106,7 +106,7 @@ from dataclasses import dataclass
 from itertools import accumulate, combinations, count, repeat
 from math import comb, inf
 from operator import add, mul, ne
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .graphs import DistanceMatrix, Graph, all_pairs_distances, build_graph, truncated_row
 from .resolution import Broadcast, is_resolving_broadcast
@@ -203,21 +203,16 @@ def _split_classes(rows, caps: Sequence[int], base: int, r: int) -> list[list[in
 
 
 def _search(
-    rows,
-    caps: Sequence[int],
-    levels: Iterable[int],
-    groups,
-    broadcast: bool,
-    collect: bool = False,
-    proof: Optional[tuple[int, int]] = None,
+    rows, caps: Sequence[int], lb: int, groups, broadcast: bool, collect: bool = False
 ) -> tuple[Optional[int], int, int, list[tuple[tuple[int, int], ...]]]:
-    """Scan strength vectors level by level, each cost of `levels` in turn
-    and lexicographic order within a cost, for ones whose codes are all
-    distinct; stop after the first level that has one. For a set, `proof`
-    is None or the levels (early, late) of `_level_proof`: every level
-    from late on, or from early on when the scan of level early - 1 checks
-    no leaf within 2 classes of n, is walked over the pair tables
-    (`descend`) instead of by codes.
+    """Scan strength vectors level by level, each cost from lb up (below n
+    for a set) and lexicographic order within a cost, for ones whose codes
+    are all distinct; stop after the first level that has one. For a set,
+    each level from the start of `_level_proof` on is walked over the pair
+    tables (`descend`) instead of by codes, unless the scan of the level
+    before it checked a leaf within 2 classes of n: a near miss says the
+    value is likely this level, where the tables would be waste, so it is
+    scanned too.
 
     A vector is built one support vertex at a time: each step picks the
     next vertex z above the previous one and a strength 1 <= v <= caps[z],
@@ -273,10 +268,12 @@ def _search(
     # `_split_classes` of its strength, made on first use.
     split: dict[int, list[list[int]]] = {}
     gate = 0
-    # A checked leaf resolves, or on the level before an early start of
-    # the pair-table walk comes within 2 classes of resolving, when its
-    # codes have at least `close` classes.
-    close = n
+    levels = count(lb) if broadcast else range(lb, n)
+    proof = None if broadcast else _level_proof(ones, n, lb)
+    # A checked leaf resolves, or on a level scanned from proof - 1 on
+    # comes within 2 classes of resolving, when its codes have at least
+    # `close` classes. A start at lb has no level before it to come close.
+    close = n - 2 if proof == lb else n
 
     def make_bound() -> None:
         nonlocal gain, above, best, bound_gate
@@ -345,7 +342,7 @@ def _search(
                             priced += 1
                         elif len(set(map(add, codes, ones[z]))) >= close:
                             if close < n and len(set(map(add, codes, ones[z]))) < n:
-                                close = n  # a near miss: the proof keeps its late start
+                                close = n  # a near miss: the next level is scanned too
                                 continue
                             found.append((*path, (z, 1)))
                             if not collect:
@@ -416,10 +413,7 @@ def _search(
         return total
 
     if proof is not None:
-        # The pair-table walk starts at level `proved`, or at `early` when
-        # the scan of the level before it had no near miss; its tables are
-        # made on first use.
-        early, proved = proof
+        # The pair tables, made on first use.
         seps = covers = None
 
         def descend(open_: int, last: int, rem: int, zeros: int) -> int:
@@ -477,18 +471,15 @@ def _search(
     examined = 0
     for cost in levels:
         if cost + (1 << cost) >= need:
-            if proof is not None:
-                if close < n:  # the level before `early` had no near miss
-                    proved = early
-                if cost >= proved:
+            if proof is not None and cost + 1 >= proof:
+                if cost >= proof and close < n:  # no near miss on the level before
                     if seps is None:
                         seps, covers = _pair_tables(ones)
                     examined += descend((1 << len(seps)) - 1, -1, cost, 0)
                     if found:
                         return cost, examined, checked, found
                     continue
-                if cost + 1 == early:
-                    close = n - 2
+                close = n - 2
             # A node reads best[r] for the cost r left below it, r < cost.
             level = cost
             if built >= bound_gate:
@@ -526,7 +517,7 @@ def solve_adim(g: Graph, d: Optional[DistanceMatrix] = None) -> SolverResult:
 
 def _solve_truncated(g: Graph, k: int, d: Optional[DistanceMatrix], kind: str) -> SolverResult:
     """Search vertex subsets by ascending size, lexicographic within a size,
-    each landmark's row truncated at k + 1; from the levels `_level_proof`
+    each landmark's row truncated at k + 1; from the level `_level_proof`
     picks, the pair tables rule out the levels below the value and steer
     the walk to the witness."""
     n = g.n
@@ -541,57 +532,33 @@ def _solve_truncated(g: Graph, k: int, d: Optional[DistanceMatrix], kind: str) -
     rows = d.dist if k + 1 >= n else [truncated_row(row, k, n) for row in d.dist]
     twins = d.twins
     lb = max(1, twins.forced_minimum())
-    proof = _level_proof(rows, n, lb, twins.groups)
-    size, examined, checked, found = _search((None, rows), (1,) * n, range(lb, n), twins.groups, False, proof=proof)
+    size, examined, checked, found = _search((None, rows), (1,) * n, lb, twins.groups, False)
     if size is None:
         raise RuntimeError("subset search exhausted without a resolving set")
     return SolverResult(kind, size, next(zip(*found[0])), examined, lb, checked)
 
 
-def _level_proof(rows, n: int, lb: int, groups) -> Optional[tuple[int, int]]:
-    """Return the levels (early, late) from which a subset search over the
-    landmark rows `rows`, from level lb, walks each level by the pair
-    tables, or None when it never does.
+def _level_proof(rows, n: int, lb: int) -> Optional[int]:
+    """Return the level from which a subset search over the landmark rows
+    `rows`, from level lb, may walk each level by the pair tables, or None
+    when it never does.
 
     The tables run only when the class-count bound is idle
-    (`_counting_idle`: some row gains at least (n - 2)/2 classes), n >= 12,
-    and the first level `late` that holds more candidates than the pair
-    table has entries, n * C(n, 2), lies above lb. The search starts at
-    `late`, unless the first level `early` with more than 4 * C(n, 2)
-    candidates lies above lb too and no checked leaf of level early - 1
-    comes within 2 classes of resolving; then it starts at `early`. A
-    near miss says the value is likely early itself, where the tables and
-    a branch and bound that succeeds would be pure waste. The scan checks
-    the levels below the start as before, so a solve whose witness lies
-    there builds no table. From the start on, a level is empty exactly
-    when no set of that size separates every pair (`_separable`); a
-    larger set resolves whenever a smaller one does, so the first level
-    it does not rule out is the value, and the same branch and bound
-    steers its walk to the lex-least witness.
+    (`_counting_idle`: some row gains at least (n - 2)/2 classes) and
+    n >= 12. The start is the first level above lb with more than
+    4 * C(n, 2) subsets, a count of plain binomials. The scan checks the
+    levels below it as before, so a solve whose witness lies there builds
+    no table. From the start on, a level is empty exactly when no set of
+    that size separates every pair (`_separable`); a larger set resolves
+    whenever a smaller one does, so the first level it does not rule out
+    is the value, and the same branch and bound steers its walk to the
+    lex-least witness.
     """
-    pairs = comb(n, 2)
-    if comb(n, n // 2) <= n * pairs or not _counting_idle(rows, n):
-        # n <= 11, where no level can outnumber the table, or the
-        # class-count bound works.
+    if n < 12 or not _counting_idle(rows, n):
+        # The class-count bound works, or the solve is small.
         return None
-    # cands[s]: the s-subsets that leave at most one member of each twin
-    # group out, i.e. the candidates of level s; the groups of one vertex
-    # add a binomial factor.
-    singles = sum(len(grp) == 1 for grp in groups)
-    cands = [comb(singles, s) for s in range(singles + 1)]
-    for grp in groups:
-        m = len(grp)
-        if m > 1:
-            nxt = [0] * (len(cands) + m)
-            for s, c in enumerate(cands):
-                nxt[s + m] += c
-                nxt[s + m - 1] += c * m
-            cands = nxt
-    late = next((size for size in range(lb, n) if cands[size] > n * pairs), None)
-    if late is None or late == lb:
-        return None
-    early = next(size for size in range(lb, late + 1) if cands[size] > 4 * pairs)
-    return (early if early > lb else late), late
+    most = 4 * comb(n, 2)
+    return next((size for size in range(lb + 1, n) if comb(n, size) > most), None)
 
 
 _BITS = bytes.maketrans(b"\x00\x01", b"01")
@@ -709,7 +676,7 @@ def _broadcast_search(g: Graph, d: Optional[DistanceMatrix], collect: bool):
         [truncated_row(drow, i, n) if i <= cap else None for drow, cap in zip(d.dist, caps)]
         for i in range(1, max(caps) + 1)
     ]
-    return (lb, *_search(rows, caps, count(lb), twins.groups, True, collect))
+    return (lb, *_search(rows, caps, lb, twins.groups, True, collect))
 
 
 def solve_bdim(g: Graph, d: Optional[DistanceMatrix] = None) -> SolverResult:

@@ -96,7 +96,7 @@ def _assert_same_solves(g, d=None, enum_oracle=None):
         mp.setattr(solvers, "_bound_gate", lambda caps: 0)
         mp.setattr(solvers, "_counting_idle", lambda ones, n: False)
         forced = _solve_all(g, d)
-        mp.setattr(solvers, "_level_proof", lambda rows, n, lb, groups: (lb, lb))
+        mp.setattr(solvers, "_level_proof", lambda rows, n, lb: lb)
         steered = _solve_sets(g, d)
     if enum_oracle is None:
         enum_oracle = plain["enum"]
@@ -373,12 +373,11 @@ def test_plain_set_solves_build_no_pair_table(monkeypatch):
 
 def test_proof_starts_early_unless_the_level_before_comes_close(monkeypatch):
     # dim of G(26, 0.3), seed 0, is 5. Level 3 is the first with more
-    # candidates than 4 * C(26, 2), level 4 the first with more than the
-    # pair table has entries, and no 2-set comes within 2 classes of
+    # subsets than 4 * C(26, 2), and no 2-set comes within 2 classes of
     # resolving, so the tables prove levels 3 and 4 empty and steer the
     # walk of level 5. dim of this G(12, 0.5) is 4, its first such level:
-    # a 3-set comes within 2 classes, so the proof keeps its late start,
-    # level 6, and builds no table.
+    # a 3-set comes within 2 classes, so level 4 is scanned too, finds the
+    # witness and builds no table.
     roots = []
     separable = solvers._separable
 
@@ -389,7 +388,7 @@ def test_proof_starts_early_unless_the_level_before_comes_close(monkeypatch):
 
     monkeypatch.setattr(solvers, "_separable", spy)
     g26 = families.random_graph(26, 0.3, 0)
-    assert solvers._level_proof(all_pairs_distances(g26).dist, 26, 1, twin_partition(g26).groups) == (3, 4)
+    assert solvers._level_proof(all_pairs_distances(g26).dist, 26, 1) == 3
     assert solve_dim(g26).value == 5
     assert roots == [3, 4, 5]
 
@@ -398,9 +397,34 @@ def test_proof_starts_early_unless_the_level_before_comes_close(monkeypatch):
 
     monkeypatch.setattr(solvers, "_pair_tables", refuse)
     g12 = families.random_graph(12, 0.5, 12013)
-    assert solvers._level_proof(all_pairs_distances(g12).dist, 12, 1, twin_partition(g12).groups) == (4, 6)
+    assert solvers._level_proof(all_pairs_distances(g12).dist, 12, 1) == 4
     res = solve_dim(g12)
     assert (res.value, res.candidates_checked) == (4, res.candidates_examined)
+
+    # A near miss can defer the walk again. dim of this G(12, 0.6) is 5:
+    # a 3-set and a 4-set each come within 2 classes of resolving, so
+    # levels 4 and 5 are scanned too and no table is built.
+    g12 = families.random_graph(12, 0.6, 120142)
+    rows = all_pairs_distances(g12).dist
+    assert solvers._level_proof(rows, 12, 1) == 4
+    for size in (3, 4):
+        assert max(len(set(zip(*(rows[z] for z in s)))) for s in combinations(range(12), size)) >= 10
+    res = solve_dim(g12)
+    assert res.value == 5
+
+
+def test_twin_forced_trees_prove_their_levels_early():
+    # Twin leaves force lb = 2 on these trees, and the first level above
+    # it with more than 4 * C(n, 2) subsets is 3: the tables prove the
+    # levels below the value empty and steer the walk to the witness, so
+    # each solve checks under 100 of its thousands of candidates.
+    for n in (26, 28, 30):
+        g = families.random_tree(n, 1)
+        d = all_pairs_distances(g)
+        new = solve_dim(g, d)
+        assert (new.lower_bound_used, solvers._level_proof(d.dist, n, 2)) == (2, 3)
+        assert _fields(new) == _fields(seed_oracle.solve_dim(g, d)), f"tree n={n}"
+        assert new.candidates_checked < 100, (n, new.candidates_checked)
 
 
 def test_solves_that_prove_levels_empty():
