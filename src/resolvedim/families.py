@@ -2,11 +2,13 @@
 constructions, and seeded random graphs/trees.
 
 Every builder fixes the vertex numbering it documents, so repeated calls
-are bit-identical. `generate` dispatches a FamilySpec whose parameters
-are plain ints or, for parts and dims, int tuples (random_graph's p may
-be a float), and `order` gives the order of that graph without building
-it; the two-graph combinator `bits_construction` stays a direct
-function.
+are bit-identical. `FAMILIES` is the one table keyed by family name: each
+entry holds the parameter names, the builder and the order function.
+`FamilySpec.arguments` checks a spec against it (plain ints or, for parts
+and dims, int tuples; random_graph's p may be a float) and is the one
+parameter checker behind `generate`, `order`, which gives the order of a
+graph without building it, and the closed-form catalog of `formulas`.
+The two-graph combinator `bits_construction` stays a direct function.
 """
 
 from __future__ import annotations
@@ -15,8 +17,10 @@ import heapq
 import random
 from dataclasses import dataclass, field
 from math import prod
+from typing import Callable
 
 from .graphs import Graph, build_graph, cartesian_product, induced_subgraph, join
+from .resolution import counting_floor
 
 
 def path(n: int) -> Graph:
@@ -143,11 +147,7 @@ def logn_sharp_trimmed(n: int) -> Graph:
     """
     if n < 1:
         raise ValueError("needs n >= 1")
-    k = 1
-    while k + 2**k < n:
-        k += 1
-    g = logn_sharp(k)
-    return induced_subgraph(g, range(n))
+    return induced_subgraph(logn_sharp(counting_floor(n, 2)), range(n))
 
 
 def subgraph_gap(k: int) -> Graph:
@@ -316,48 +316,6 @@ def _random_graph_from(rng: random.Random, n: int) -> Graph:
     return build_graph(n, edges)
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """A family id plus its scalar/tuple parameters."""
-
-    family: str
-    params: dict = field(default_factory=dict)
-
-
-FAMILIES: dict[str, tuple[tuple[str, ...], object]] = {
-    "path": (("n",), path),
-    "cycle": (("n",), cycle),
-    "complete": (("n",), complete),
-    "empty": (("n",), empty),
-    "star": (("x",), star),
-    "complete_multipartite": (("parts",), complete_multipartite),
-    "wheel": (("n",), wheel),
-    "fan": (("n",), fan),
-    "petersen": ((), petersen),
-    "grid": (("dims",), grid),
-    "logn_sharp": (("k",), logn_sharp),
-    "logn_sharp_trimmed": (("n",), logn_sharp_trimmed),
-    "subgraph_gap": (("k",), subgraph_gap),
-    "vdel_gap": (("k",), vdel_gap),
-    "edge_gap": (("a", "b", "c"), edge_gap),
-    "spider": (("x", "s"), spider),
-    "kK2": (("k",), kK2),
-    "kK2_plus_isolated": (("k",), kK2_plus_isolated),
-    "grid_plus_apex": (("k",), grid_plus_apex),
-    "random_graph": (("n", "p", "seed"), random_graph),
-    "random_tree": (("n", "seed"), random_tree),
-    "sample_Hk": (("k", "seed"), sample_Hk),
-}
-
-
-def is_int_param(name: str, value) -> bool:
-    """True when `value` suits the family or catalog parameter `name`: an
-    int, or for parts and dims also a tuple of ints. A bool is not taken
-    for an int."""
-    items = value if name in ("parts", "dims") and isinstance(value, tuple) else (value,)
-    return all(isinstance(x, int) and not isinstance(x, bool) for x in items)
-
-
 def _bits_order(k: int, *_) -> int:
     """k + 2**k, the order of the bits construction over k >= 0 base
     vertices; past k = 64 it reads k + 2**64, beyond any graph that can be
@@ -365,53 +323,69 @@ def _bits_order(k: int, *_) -> int:
     return k + (1 << min(max(k, 0), 64))
 
 
-# The order each builder returns, from the same parameters.
-_ORDERS = {
-    "path": lambda n: n,
-    "cycle": lambda n: n,
-    "complete": lambda n: n,
-    "empty": lambda n: n,
-    "star": lambda x: x + 1,
-    "complete_multipartite": lambda parts: sum(parts) if isinstance(parts, tuple) else parts,
-    "wheel": lambda n: n + 1,
-    "fan": lambda n: n + 1,
-    "petersen": lambda: 10,
-    "grid": lambda dims: prod(dims) if isinstance(dims, tuple) else dims,
-    "logn_sharp": _bits_order,
-    "logn_sharp_trimmed": lambda n: n,
-    "subgraph_gap": lambda k: k * (k + 1) // 2 + k,
-    "vdel_gap": lambda k: 3 * k + 2,
-    "edge_gap": lambda a, b, c: 3 + a + b + c,
-    "spider": lambda x, s: 1 + x + s,
-    "kK2": lambda k: 2 * k,
-    "kK2_plus_isolated": lambda k: 2 * k + 1,
-    "grid_plus_apex": lambda k: k * k + 1,
-    "random_graph": lambda n, p, seed: n,
-    "random_tree": lambda n, seed: n,
-    "sample_Hk": _bits_order,
+# family -> (parameter names in builder order, builder, order): the order
+# function takes the builder's parameters and returns the order of the
+# graph the builder would build from them, without building it.
+FAMILIES: dict[str, tuple[tuple[str, ...], Callable[..., Graph], Callable[..., int]]] = {
+    "path": (("n",), path, lambda n: n),
+    "cycle": (("n",), cycle, lambda n: n),
+    "complete": (("n",), complete, lambda n: n),
+    "empty": (("n",), empty, lambda n: n),
+    "star": (("x",), star, lambda x: x + 1),
+    "complete_multipartite": (
+        ("parts",),
+        complete_multipartite,
+        lambda parts: sum(parts) if isinstance(parts, tuple) else parts,
+    ),
+    "wheel": (("n",), wheel, lambda n: n + 1),
+    "fan": (("n",), fan, lambda n: n + 1),
+    "petersen": ((), petersen, lambda: 10),
+    "grid": (("dims",), grid, lambda dims: prod(dims) if isinstance(dims, tuple) else dims),
+    "logn_sharp": (("k",), logn_sharp, _bits_order),
+    "logn_sharp_trimmed": (("n",), logn_sharp_trimmed, lambda n: n),
+    "subgraph_gap": (("k",), subgraph_gap, lambda k: k * (k + 1) // 2 + k),
+    "vdel_gap": (("k",), vdel_gap, lambda k: 3 * k + 2),
+    "edge_gap": (("a", "b", "c"), edge_gap, lambda a, b, c: 3 + a + b + c),
+    "spider": (("x", "s"), spider, lambda x, s: 1 + x + s),
+    "kK2": (("k",), kK2, lambda k: 2 * k),
+    "kK2_plus_isolated": (("k",), kK2_plus_isolated, lambda k: 2 * k + 1),
+    "grid_plus_apex": (("k",), grid_plus_apex, lambda k: k * k + 1),
+    "random_graph": (("n", "p", "seed"), random_graph, lambda n, p, seed: n),
+    "random_tree": (("n", "seed"), random_tree, lambda n, seed: n),
+    "sample_Hk": (("k", "seed"), sample_Hk, _bits_order),
 }
 
 
-def _arguments(spec: FamilySpec) -> list:
-    """Check a FamilySpec and return its parameters in the builder's
-    order. Every parameter must be an int, parts and dims may be tuples of
-    ints, and random_graph's p may be a float."""
-    if spec.family not in FAMILIES:
-        raise KeyError(f"unknown family {spec.family!r}")
-    names, _ = FAMILIES[spec.family]
-    params = dict(spec.params)
-    extra = set(params) - set(names)
-    if extra:
-        raise ValueError(f"unexpected parameters for {spec.family}: {sorted(extra)}")
-    missing = [name for name in names if name not in params]
-    if missing:
-        raise ValueError(f"missing parameters for {spec.family}: {missing}")
-    for name in names:
-        value = params[name]
-        real = spec.family == "random_graph" and name == "p" and isinstance(value, float)
-        if not (real or is_int_param(name, value)):
-            raise ValueError(f"parameter {name} of {spec.family} takes integers, got {value!r}")
-    return [params[name] for name in names]
+@dataclass(frozen=True)
+class FamilySpec:
+    """A family id plus its scalar/tuple parameters."""
+
+    family: str
+    params: dict = field(default_factory=dict)
+
+    def arguments(self) -> list:
+        """Check the spec against its FAMILIES entry and return the
+        parameters in the builder's order. Every parameter must be an int
+        (a bool is not taken for one), parts and dims may be tuples of
+        ints, and random_graph's p may be a float."""
+        if self.family not in FAMILIES:
+            raise KeyError(f"unknown family {self.family!r}")
+        names = FAMILIES[self.family][0]
+        params = dict(self.params)
+        extra = set(params) - set(names)
+        if extra:
+            raise ValueError(f"unexpected parameters for {self.family}: {sorted(extra)}")
+        missing = [name for name in names if name not in params]
+        if missing:
+            raise ValueError(f"missing parameters for {self.family}: {missing}")
+        for name in names:
+            value = params[name]
+            if self.family == "random_graph" and name == "p" and isinstance(value, float):
+                continue
+            items = value if name in ("parts", "dims") and isinstance(value, tuple) else (value,)
+            if not all(isinstance(x, int) and not isinstance(x, bool) for x in items):
+                raise ValueError(f"parameter {name} of {self.family} takes integers, got {value!r}")
+        return [params[name] for name in names]
 
 
 def order(spec: FamilySpec) -> int:
@@ -419,10 +393,10 @@ def order(spec: FamilySpec) -> int:
     building it; for sample_Hk, which keeps a random share of its string
     vertices, the largest order it can have. Parameters are checked as
     `generate` checks them, but not the builder's own range checks."""
-    return _ORDERS[spec.family](*_arguments(spec))
+    return FAMILIES[spec.family][2](*spec.arguments())
 
 
 def generate(spec: FamilySpec) -> Graph:
-    """Build the graph a FamilySpec describes (see `_arguments` for the
-    parameters it takes)."""
-    return FAMILIES[spec.family][1](*_arguments(spec))
+    """Build the graph a FamilySpec describes (see `FamilySpec.arguments`
+    for the parameters it takes)."""
+    return FAMILIES[spec.family][1](*spec.arguments())

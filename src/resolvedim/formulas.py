@@ -3,6 +3,11 @@ checks, and structural certificates.
 
 The catalog answers only queries inside each formula's proved range;
 everything else comes back applicable=False rather than extrapolated.
+It holds one formula per family and no parameter names: a query's
+parameters are checked against the family's entry of
+`families.FAMILIES` by the checker `generate` uses, and reach the
+formula positionally, in builder order; each formula checks its own
+range.
 """
 
 from __future__ import annotations
@@ -10,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .families import is_int_param
+from .families import FamilySpec
 from .graphs import DistanceMatrix, Graph, all_pairs_distances, delta_prime, tree_profile
-from .resolution import Broadcast, is_adjacency_resolving_set
+from .resolution import Broadcast, counting_floor, is_adjacency_resolving_set
 
 
 @dataclass(frozen=True)
@@ -44,26 +49,11 @@ def _na(detail: str) -> FormulaResult:
     return FormulaResult(False, None, detail)
 
 
-def _need(params: dict, *names: str) -> list:
-    extra = set(params) - set(names)
-    if extra:
-        raise ValueError(f"unexpected parameters: {sorted(extra)}")
-    out = []
-    for name in names:
-        if name not in params:
-            raise ValueError(f"missing parameter {name!r}")
-        if not is_int_param(name, params[name]):
-            raise ValueError(f"parameter {name} takes integers, got {params[name]!r}")
-        out.append(params[name])
-    return out
-
-
 def _two_fifths(n: int) -> int:
     return (2 * n + 2) // 5
 
 
-def _path_formula(kind: str, params: dict) -> FormulaResult:
-    (n,) = _need(params, "n")
+def _path_formula(kind: str, n: int) -> FormulaResult:
     if n < 1:
         raise ValueError("path needs n >= 1")
     if kind == "dim":
@@ -71,8 +61,7 @@ def _path_formula(kind: str, params: dict) -> FormulaResult:
     return _ok(1 if n <= 3 else _two_fifths(n))
 
 
-def _cycle_formula(kind: str, params: dict) -> FormulaResult:
-    (n,) = _need(params, "n")
+def _cycle_formula(kind: str, n: int) -> FormulaResult:
     if n < 3:
         raise ValueError("cycle needs n >= 3")
     if n == 3:
@@ -82,22 +71,19 @@ def _cycle_formula(kind: str, params: dict) -> FormulaResult:
     return _ok(_two_fifths(n))
 
 
-def _complete_formula(kind: str, params: dict) -> FormulaResult:
-    (n,) = _need(params, "n")
+def _complete_formula(kind: str, n: int) -> FormulaResult:
     if n < 1:
         raise ValueError("complete graph needs n >= 1")
     return _ok(1 if n == 1 else n - 1)
 
 
-def _wheel_formula(kind: str, params: dict) -> FormulaResult:
-    (n,) = _need(params, "n")
+def _wheel_formula(kind: str, n: int) -> FormulaResult:
     if n < 3:
         raise ValueError("wheel needs a rim of length n >= 3")
     return _ok(3 if n in (3, 6) else _two_fifths(n))
 
 
-def _fan_formula(kind: str, params: dict) -> FormulaResult:
-    (n,) = _need(params, "n")
+def _fan_formula(kind: str, n: int) -> FormulaResult:
     if n < 1:
         raise ValueError("fan needs n >= 1")
     if n == 1:
@@ -107,8 +93,7 @@ def _fan_formula(kind: str, params: dict) -> FormulaResult:
     return _ok(3 if n == 6 else _two_fifths(n))
 
 
-def _kpartite_formula(kind: str, params: dict) -> FormulaResult:
-    (parts,) = _need(params, "parts")
+def _kpartite_formula(kind: str, parts) -> FormulaResult:
     parts = (parts,) if isinstance(parts, int) else tuple(parts)
     if len(parts) < 2:
         raise ValueError("complete multipartite graph needs at least 2 parts")
@@ -120,13 +105,11 @@ def _kpartite_formula(kind: str, params: dict) -> FormulaResult:
     return _ok(n - k if s == 0 else n + s - k - 1)
 
 
-def _petersen_formula(kind: str, params: dict) -> FormulaResult:
-    _need(params)
+def _petersen_formula(kind: str) -> FormulaResult:
     return _ok(3)
 
 
-def _spider_formula(kind: str, params: dict) -> FormulaResult:
-    x, s = _need(params, "x", "s")
+def _spider_formula(kind: str, x: int, s: int) -> FormulaResult:
     if x < 3:
         raise ValueError("spider needs at least 3 legs")
     if not 0 <= s <= x:
@@ -157,13 +140,14 @@ def catalog_families() -> tuple[str, ...]:
 
 
 def closed_form(query: FormulaQuery) -> FormulaResult:
-    """Answer a catalog query, or applicable=False outside proved ranges."""
+    """Answer a catalog query, or applicable=False outside proved ranges.
+    The parameters are checked as `families.generate` checks them."""
     if query.kind not in KINDS:
         raise ValueError(f"unknown parameter kind {query.kind!r}")
     fn = _CATALOG.get(query.family)
     if fn is None:
         raise ValueError(f"unknown family {query.family!r}")
-    return fn(query.kind, dict(query.params))
+    return fn(query.kind, *FamilySpec(query.family, query.params).arguments())
 
 
 def tree_dim(g: Graph, d: Optional[DistanceMatrix] = None) -> int:
@@ -239,13 +223,6 @@ class BoundRecord:
         return self.lhs <= self.rhs
 
 
-def _least_k_landmarks(n: int, d: int) -> int:
-    k = 1
-    while k + d**k < n:
-        k += 1
-    return k
-
-
 def _capacity(d: int, k: int) -> int:
     width = (2 * d // 3) + 1
     tail = sum((2 * i - 1) ** (k - 1) for i in range(1, -(-d // 3) + 1))
@@ -282,7 +259,7 @@ def bound_report(
         else:
             records.append(BoundRecord(rid, True, lhs(), rhs(), note))
 
-    gated("landmark-floor", (dim,), True, lambda: _least_k_landmarks(n, diam), lambda: dim)
+    gated("landmark-floor", (dim,), True, lambda: counting_floor(n, diam), lambda: dim)
     gated("diameter-ceiling", (dim,), True, lambda: dim, lambda: n - diam)
     gated("capacity-dim", (dim,), True, lambda: n, lambda: _capacity(diam, dim))
     gated("capacity-adim", (adim,), True, lambda: n, lambda: _capacity(diam, adim))

@@ -153,3 +153,18 @@ def counting_feasible(g: Graph, f) -> bool:
         raise ValueError(f"broadcast length {len(vals)} does not match order {g.n}")
     supp = [x for x in vals if x > 0]
     return len(supp) + prod(x + 1 for x in supp) >= g.n
+
+
+def counting_floor(n: int, b: int) -> int:
+    """Return the least k >= 1 with k + b**k >= n.
+
+    With b = 2 it is the least cost of a broadcast that meets the counting
+    condition: a split of cost s over y support vertices has y <= s and,
+    as f + 1 <= 2**f, prod(f + 1) <= 2**s, and s vertices at strength 1
+    reach s + 2**s. With b the diameter it is the landmark floor
+    n <= D**k + k of Khuller, Raghavachari and Rosenfeld (1996).
+    """
+    k = 1
+    while k + b**k < n:
+        k += 1
+    return k

@@ -109,7 +109,7 @@ from operator import add, mul, ne
 from typing import Optional, Sequence, Union
 
 from .graphs import DistanceMatrix, Graph, all_pairs_distances, build_graph, truncated_row
-from .resolution import Broadcast, is_resolving_broadcast
+from .resolution import Broadcast, counting_floor, is_resolving_broadcast
 
 
 @dataclass(frozen=True)
@@ -268,6 +268,8 @@ def _search(
     # `_split_classes` of its strength, made on first use.
     split: dict[int, list[list[int]]] = {}
     gate = 0
+    # A broadcast's lb is at least counting_floor(n, 2), so each level has
+    # vectors that meet the counting condition.
     levels = count(lb) if broadcast else range(lb, n)
     proof = None if broadcast else _level_proof(ones, n, lb)
     # A checked leaf resolves, or on a level scanned from proof - 1 on
@@ -327,27 +329,28 @@ def _search(
         zs = range(hi - 1, last, -1) if broadcast else range(last + 1, hi)
         total = 0
         if rem == 1:
-            # Every child is a leaf at strength 1; one whose row adds fewer
-            # classes than the codes miss is counted, not checked.
-            if supp + 2 * weight >= need:
-                if codes is None:
-                    total = sum(owed <= owing >> z & 1 for z in zs)
-                else:
-                    priced = 0  # the leaves counted, not checked
-                    for z in zs:
-                        if owed > owing >> z & 1:
+            # Every child is a leaf at strength 1, and meets the counting
+            # condition: the strength loop above, or the level's start at
+            # lb, saw to it. A leaf whose row adds fewer classes than the
+            # codes miss is counted, not checked.
+            if codes is None:
+                total = sum(owed <= owing >> z & 1 for z in zs)
+            else:
+                priced = 0  # the leaves counted, not checked
+                for z in zs:
+                    if owed > owing >> z & 1:
+                        continue
+                    total += 1
+                    if missing and gain[1][z] < missing:
+                        priced += 1
+                    elif (distinct := len(set(map(add, codes, ones[z])))) >= close:
+                        if distinct < n:
+                            close = n  # a near miss: the next level is scanned too
                             continue
-                        total += 1
-                        if missing and gain[1][z] < missing:
-                            priced += 1
-                        elif len(set(map(add, codes, ones[z]))) >= close:
-                            if close < n and len(set(map(add, codes, ones[z]))) < n:
-                                close = n  # a near miss: the next level is scanned too
-                                continue
-                            found.append((*path, (z, 1)))
-                            if not collect:
-                                break
-                    checked += total - priced
+                        found.append((*path, (z, 1)))
+                        if not collect:
+                            break
+                checked += total - priced
         else:
             # Rows that end a vector here, if any vertex can take all of rem.
             ends = rows[rem] if rem < len(rows) and supp + weight * (rem + 1) >= need else ()
@@ -470,30 +473,29 @@ def _search(
     start = [0] * n
     examined = 0
     for cost in levels:
-        if cost + (1 << cost) >= need:
-            if proof is not None and cost + 1 >= proof:
-                if cost >= proof and close < n:  # no near miss on the level before
-                    if seps is None:
-                        seps, covers = _pair_tables(ones)
-                    examined += descend((1 << len(seps)) - 1, -1, cost, 0)
-                    if found:
-                        return cost, examined, checked, found
-                    continue
-                close = n - 2
-            # A node reads best[r] for the cost r left below it, r < cost.
-            level = cost
-            if built >= bound_gate:
-                make_bound()
-            elif best is not None:
-                while len(best) < level:
-                    _grow_class_bound(best, above)
-            # The split cut reads strengths 1..cost - 1, which take
-            # min(cost - 1, max(caps)) class lists of n * n entries; it
-            # waits for n * n nodes per strength, n codes each.
-            gate = n * n * min(cost - 1, strongest)
-            examined += extend(start, -1, cost, 0, 1, 0, 0 if best is None else n - 1)
-            if found:
-                return cost, examined, checked, found
+        if proof is not None and cost + 1 >= proof:
+            if cost >= proof and close < n:  # no near miss on the level before
+                if seps is None:
+                    seps, covers = _pair_tables(ones)
+                examined += descend((1 << len(seps)) - 1, -1, cost, 0)
+                if found:
+                    return cost, examined, checked, found
+                continue
+            close = n - 2
+        # A node reads best[r] for the cost r left below it, r < cost.
+        level = cost
+        if built >= bound_gate:
+            make_bound()
+        elif best is not None:
+            while len(best) < level:
+                _grow_class_bound(best, above)
+        # The split cut reads strengths 1..cost - 1, which take
+        # min(cost - 1, max(caps)) class lists of n * n entries; it
+        # waits for n * n nodes per strength, n codes each.
+        gate = n * n * min(cost - 1, strongest)
+        examined += extend(start, -1, cost, 0, 1, 0, 0 if best is None else n - 1)
+        if found:
+            return cost, examined, checked, found
     return None, examined, checked, found
 
 
@@ -635,21 +637,6 @@ def broadcast_value_caps(g: Graph, d: Optional[DistanceMatrix] = None) -> tuple[
     return tuple(max(1, ecc - drop) for ecc in prof.finite_eccentricities)
 
 
-def _counting_lower_bound(n: int) -> int:
-    """Smallest cost s whose best support split can satisfy
-    |supp| + prod(f+1) >= n."""
-    if n <= 2:
-        return 1
-    for s in count(1):
-        best = 0
-        for y in range(1, s + 1):
-            q, r = divmod(s, y)
-            best = max(best, y + (q + 2) ** r * (q + 1) ** (y - r))
-        if best >= n:
-            return s
-    raise AssertionError("unreachable")
-
-
 def _vector(n: int, support) -> tuple[int, ...]:
     """Spell out a vector given as (vertex, strength) pairs."""
     vec = [0] * n
@@ -670,7 +657,7 @@ def _broadcast_search(g: Graph, d: Optional[DistanceMatrix], collect: bool):
     caps = broadcast_value_caps(g, d)
     twins = d.twins
     # The proved lower bounds: diameter/3, twin support and counting.
-    lb = max(1, -(-d.profile.finite_diameter // 3), twins.forced_minimum(), _counting_lower_bound(n))
+    lb = max(1, -(-d.profile.finite_diameter // 3), twins.forced_minimum(), counting_floor(n, 2))
     # rows[i][z] = code row of z at strength i (None above z's cap)
     rows = [None] + [
         [truncated_row(drow, i, n) if i <= cap else None for drow, cap in zip(d.dist, caps)]

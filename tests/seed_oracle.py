@@ -1,7 +1,8 @@
 """The exhaustive scans the solvers used before the incremental search
-kernel, kept verbatim as a test-only oracle. The one edit: results now
-also record the candidates checked, which for these scans are all of the
-candidates examined.
+kernel, kept verbatim as a test-only oracle, with the split search for
+the counting lower bound the solvers used then. The one edit: results
+now also record the candidates checked, which for these scans are all of
+the candidates examined.
 
 `tests/test_kernel_equivalence.py` checks that the kernel-backed solvers
 return the same value, witness, candidate count and starting bound as
@@ -22,12 +23,22 @@ from resolvedim.graphs import (
     twin_partition,
 )
 from resolvedim.resolution import Broadcast, is_resolving_broadcast
-from resolvedim.solvers import (
-    EnumerationResult,
-    SolverResult,
-    _counting_lower_bound,
-    broadcast_value_caps,
-)
+from resolvedim.solvers import EnumerationResult, SolverResult, broadcast_value_caps
+
+
+def _counting_lower_bound(n: int) -> int:
+    """Smallest cost s whose best support split can satisfy
+    |supp| + prod(f+1) >= n."""
+    if n <= 2:
+        return 1
+    for s in count(1):
+        best = 0
+        for y in range(1, s + 1):
+            q, r = divmod(s, y)
+            best = max(best, y + (q + 2) ** r * (q + 1) ** (y - r))
+        if best >= n:
+            return s
+    raise AssertionError("unreachable")
 
 
 def _solve_by_subsets(g: Graph, rows, kind: str) -> SolverResult:

@@ -124,6 +124,25 @@ def test_catalog_rejects_unknown():
             _value("dim", family, **params)
 
 
+def test_catalog_takes_exactly_the_family_parameters():
+    samples = {
+        "path": {"n": 5}, "cycle": {"n": 5}, "complete": {"n": 4}, "empty": {"n": 4},
+        "wheel": {"n": 5}, "fan": {"n": 5}, "complete_multipartite": {"parts": (1, 2, 2)},
+        "petersen": {}, "spider": {"x": 4, "s": 2},
+    }
+    assert set(samples) == set(catalog_families())
+    for family, params in samples.items():
+        assert tuple(params) == families.FAMILIES[family][0], family
+        for kind in ("dim", "adim", "bdim"):
+            closed_form(FormulaQuery(kind, family, params))
+        with pytest.raises(ValueError, match="unexpected"):
+            closed_form(FormulaQuery("bdim", family, {**params, "extra": 1}))
+        for name in params:
+            rest = {k: v for k, v in params.items() if k != name}
+            with pytest.raises(ValueError, match="missing"):
+                closed_form(FormulaQuery("bdim", family, rest))
+
+
 def test_formula_matches_solver_spot_checks():
     for family, params, builder in (
         ("wheel", {"n": 6}, lambda: families.wheel(6)),

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, count
 
 import pytest
+import seed_oracle
 
 from resolvedim import (
     Broadcast,
@@ -20,6 +21,7 @@ from resolvedim import (
     is_resolving_set,
     revalidate,
 )
+from resolvedim.resolution import counting_floor
 from resolvedim.verify import labelled_graphs
 
 
@@ -109,6 +111,16 @@ def test_counting_feasible():
     # support {0, 3}, strengths (2, 1): 2 + 6 >= 6
     assert counting_feasible(g, (2, 0, 0, 1, 0, 0))
     assert counting_feasible(g, Broadcast((1, 1, 0, 1, 0, 0)))
+
+
+def test_counting_floor_matches_its_definitions():
+    # b = 2: the split search over every support size the oracle keeps.
+    for n in range(1, 2001):
+        assert counting_floor(n, 2) == seed_oracle._counting_lower_bound(n), n
+    # Any base: the least k >= 1 with k + b**k >= n.
+    for b in range(1, 7):
+        for n in range(1, 200):
+            assert counting_floor(n, b) == next(k for k in count(1) if k + b**k >= n), (n, b)
 
 
 def _first_tie(codes):
