@@ -157,6 +157,7 @@ def _solve_command(args: argparse.Namespace) -> int:
         stats = {
             "candidates_examined": res.candidates_examined,
             "candidates_checked": res.candidates_checked,
+            "nodes_built": res.nodes_built,
             "lower_bound_used": res.lower_bound_used,
             "order": g.n,
             "size": g.m,

@@ -47,9 +47,15 @@ plus best[left][z] falls short of that; skips it, once its codes are
 built, when they miss more than best[left][z]; and counts a leaf
 without checking it when its row's gain falls short. The candidates
 below a cut cannot resolve, but they are candidates: the kernel counts
-them instead of checking them. The count comes from the same walk run
-in its counting mode, which builds no code, checks no leaf and memoises
-each count, so there is one walk of the enumeration to keep right.
+them instead of checking them. Below a cut child at z with cost r left
+and no twin-group member above z, every completion passes the twin rule,
+and the cheapest one for the counting condition puts all of r on one
+vertex; when it passes, so do all, and the count is ways[z + 1][r], the
+number of vectors of cost r on the vertices above z within the caps
+(`_cost_ways`). The table is made on the solve's first count and remade
+at each later level, one running sum per vertex above the highest twin
+member. Every other count comes from the same walk run in its counting
+mode, which builds no code, checks no leaf and memoises each count.
 `candidates_examined` is therefore unchanged, and `candidates_checked`
 says how many had their codes compared.
 
@@ -66,21 +72,21 @@ separates them: a hitting set over pairs (Khuller, Raghavachari and
 Rosenfeld, 1996). From some level on (`_level_proof`), dim, dim_k and
 adim walk each level over the pair tables (`_pair_tables`) instead of
 codes: each node carries the bitmask of the pairs still open, a leaf
-resolves when its landmark separates all of them, and a node with cost
-r >= 2 left is walked in counting mode when a branch and bound over
-those tables (`_separable`) shows that no r landmarks above it separate
-them. The tables number the pairs by ascending count of separators, so
-the branch and bound branches on the lowest open pair, the rarest, with
-one big-int step per branch and none per open pair. At the root that is
-the proof that the level is empty; below it, it steers the walk to the
-lex-least witness. These levels run neither the class-count bound,
-which is idle on them, nor the split cut: the branch and bound fails
-wherever an open pair has no separator above the node. At n >= 12,
-while the class-count bound is idle, the walk starts at the first level
-above the first one scanned that has more than 4 * C(n, 2) subsets. A
-level whose predecessor's scan checked a leaf within 2 classes of
-resolving is scanned instead, so each near miss defers the walk by one
-level. So the counts stay the same, and `candidates_checked` leaves out
+resolves when its landmark separates all of them, and the candidates
+below a node with cost r >= 2 left are counted, as below a cut, when a
+branch and bound over those tables (`_separable`) shows that no r
+landmarks above it separate them. The tables number the pairs by
+ascending count of separators, so the branch and bound branches on the
+lowest open pair, the rarest, with one big-int step per branch and none
+per open pair. At the root that is the proof that the level is empty;
+below it, it steers the walk to the lex-least witness. These levels run
+neither the class-count bound, which is idle on them, nor the split
+cut: the branch and bound fails wherever an open pair has no separator
+above the node. At n >= 12, while the class-count bound is idle, the
+walk starts at the first level above the first one scanned that has
+more than 4 * C(n, 2) subsets. A level whose predecessor's scan checked
+a leaf within 2 classes of resolving is scanned instead, so each near
+miss defers the walk by one level. So the counts stay the same, and `candidates_checked` leaves out
 the proved subtrees and levels too.
 
 The split cut also works by pairs, inside the code scan, for all four
@@ -105,7 +111,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate, combinations, count, repeat
 from math import comb, inf
-from operator import add, mul, ne
+from operator import add, mul, ne, sub
 from typing import Optional, Sequence, Union
 
 from .graphs import DistanceMatrix, Graph, all_pairs_distances, build_graph, truncated_row
@@ -128,6 +134,9 @@ class SolverResult:
     # pair-separation branch and bound skipped, or in levels it showed
     # empty.
     candidates_checked: int
+    # The nodes of the code scan whose codes were built; the pair-table
+    # walk builds none.
+    nodes_built: int = 0
 
 
 @dataclass(frozen=True)
@@ -172,6 +181,20 @@ def _class_gains(rows, n: int) -> tuple[list[list[int]], list[list[int]]]:
     return gain, [[]] + [list(accumulate(g[:0:-1], max, initial=0))[::-1] for g in gain[1:]]
 
 
+def _cost_ways(caps: Sequence[int], level: int, low: int = 0) -> list[Optional[list[int]]]:
+    """Return ways[i][r] for low <= i <= len(caps) and 0 <= r <= level: the
+    number of strength vectors of total cost r on vertices i, ...,
+    len(caps) - 1, each f(z) in 0..caps[z]; ways[i] is None for i < low.
+    ways[len(caps)] is [1, 0, ...], and each row above it is one running
+    sum of the row after it, ways[i][r] = sum(ways[i + 1][r - v] for v in
+    0..caps[i]); all-1 caps give C(len(caps) - i, r)."""
+    ways = [[1] + [0] * level]
+    for cap in reversed(caps[low:]):
+        run = list(accumulate(ways[-1]))
+        ways.append(list(map(sub, run, [0] * (cap + 1) + run)))
+    return [None] * low + ways[::-1]
+
+
 def _grow_class_bound(best: list[list[int]], above: list[list[int]]) -> None:
     """Append best[r][z] for the next r = len(best): the most classes that
     cost r, spent on the vertices above z, can add to any codes.
@@ -204,7 +227,7 @@ def _split_classes(rows, caps: Sequence[int], base: int, r: int) -> list[list[in
 
 def _search(
     rows, caps: Sequence[int], lb: int, groups, broadcast: bool, collect: bool = False
-) -> tuple[Optional[int], int, int, list[tuple[tuple[int, int], ...]]]:
+) -> tuple[Optional[int], int, int, int, list[tuple[tuple[int, int], ...]]]:
     """Scan strength vectors level by level, each cost from lb up (below n
     for a set) and lexicographic order within a cost, for ones whose codes
     are all distinct; stop after the first level that has one. For a set,
@@ -232,15 +255,18 @@ def _search(
     falls short of that, or when the child's own codes miss more than
     best[left][z] (the class-count bound of the module docstring, with
     `left` the cost left below the child); nor at a leaf whose row's gain
-    falls short. The walk goes on there in counting mode, which counts the
-    candidates without building or checking codes, and a leaf is counted
-    without being checked. So it does below a node that the split cut
-    skips, and below a node of a pair-table level that the branch and
-    bound rules out; at the root, that counts the whole level. Returns
-    the cost reached (None if the levels ran out), the number
-    of candidates examined, how many of those were checked, and the
-    resolving vectors at that cost as (vertex, strength) pairs: the first
-    one, or with `collect` all of them.
+    falls short. The candidates below such a child are counted without
+    building or checking codes: from the cost table `ways` when no
+    twin-group member lies above it and, for a broadcast, its cheapest
+    completion, one vertex at strength `left`, meets the counting
+    condition; otherwise by the walk in counting mode. A leaf is counted without
+    being checked. So it goes below a node that the split cut skips, and
+    below a node of a pair-table level that the branch and bound rules
+    out; at the root, that counts the whole level. Returns the cost
+    reached (None if the levels ran out), the number of candidates
+    examined, how many of those were checked, how many nodes had their
+    codes built, and the resolving vectors at that cost as (vertex,
+    strength) pairs: the first one, or with `collect` all of them.
     """
     n = len(caps)
     base = n + 1
@@ -264,6 +290,15 @@ def _search(
     gain = above = best = None
     bound_gate = _bound_gate(caps)
     level = 0
+    # The cost table: ways[i][r] of `_cost_ways` for r <= level and the
+    # vertices i above the highest twin-group member, made on the solve's
+    # first entry into the counting walk and remade at each later level.
+    # Until then it is None and `clear` is n. A cut child at z >= clear has
+    # no twin-group member above it, so every completion passes the twin
+    # rule, and the table counts them when the cheapest one, all of `left`
+    # on one vertex, meets the counting condition.
+    ways = None
+    clear = n
     # The split cut tests nodes once `built` reaches `gate`, each with the
     # `_split_classes` of its strength, made on first use.
     split: dict[int, list[list[int]]] = {}
@@ -298,10 +333,15 @@ def _search(
         With `codes` None it counts every candidate below instead, builds
         no code, and memoises the count on what the walk reads: |supp| and
         the product only matter up to `need`, and `zeros` only on twin
-        group members.
+        group members. Its first such call makes the cost table, and its
+        children, like every cut child, take their counts from the table
+        where it applies.
         """
-        nonlocal checked, built, close
+        nonlocal checked, built, close, ways, clear
         if codes is None:
+            if ways is None:
+                clear = members.bit_length() - 1  # the highest twin-group member
+                ways = _cost_ways(caps, level, clear + 1)
             key = (last, rem, min(supp, need), min(weight, need), zeros & members)
             total = memo.get(key)
             if total is not None:
@@ -374,27 +414,29 @@ def _search(
                     # The candidates below a cut are counted, not checked:
                     # first when row (z, v) and cost `left` above z cannot
                     # add the classes the codes miss, then when the child's
-                    # own codes miss more than `left` can add.
-                    if codes is None or missing and gain[v][z] + best[left][z] < missing:
-                        total += extend(None, z, left, supp, w, skipped, 0)
-                        continue
-                    nxt = [c * base for c in map(add, codes, rows[v][z])]
-                    built += 1
-                    short = 0
-                    skip = False
-                    if best is not None:
-                        short = n - len(set(nxt))
-                        skip = best[left][z] < short
-                    elif built >= bound_gate:
-                        make_bound()
-                    if not skip and left > 1 and built >= gate:
-                        r = left if left < strongest else strongest
-                        classes = split.get(r)
-                        if classes is None:
-                            classes = split[r] = _split_classes(rows, caps, base, r)
-                        skip = len(set(map(add, nxt, classes[z]))) < n
+                    # own codes miss more than `left` can add, or the split
+                    # cut rules them out.
+                    skip = codes is None or missing and gain[v][z] + best[left][z] < missing
+                    if not skip:
+                        nxt = [c * base for c in map(add, codes, rows[v][z])]
+                        built += 1
+                        short = 0
+                        if best is not None:
+                            short = n - len(set(nxt))
+                            skip = best[left][z] < short
+                        elif built >= bound_gate:
+                            make_bound()
+                        if not skip and left > 1 and built >= gate:
+                            r = left if left < strongest else strongest
+                            classes = split.get(r)
+                            if classes is None:
+                                classes = split[r] = _split_classes(rows, caps, base, r)
+                            skip = len(set(map(add, nxt, classes[z]))) < n
                     if skip:
-                        total += extend(None, z, left, supp, w, skipped, 0)
+                        if z >= clear and supp + 1 + w * (left + 1) >= need:
+                            total += ways[z + 1][left]
+                        else:
+                            total += extend(None, z, left, supp, w, skipped, 0)
                         continue
                     path.append((z, v))
                     total += extend(nxt, z, left, supp, w, skipped, short)
@@ -433,7 +475,7 @@ def _search(
             nonlocal checked
             above_last = top - (1 << (last + 1))
             if rem > 1 and not _separable(seps, covers, rem, open_, above_last):
-                return extend(None, last, rem, 0, 1, zeros, 0)
+                return ways[last + 1][rem] if last >= clear else extend(None, last, rem, 0, 1, zeros, 0)
             # The twin groups bound and owe support vertices as in `extend`.
             hi = n
             owed = owing = still = skipped = 0
@@ -473,17 +515,20 @@ def _search(
     start = [0] * n
     examined = 0
     for cost in levels:
+        # A node reads best[r] for the cost r left below it, r < cost, and
+        # the walk reads ways[i][r] for r <= cost.
+        level = cost
+        if ways is not None:
+            ways = _cost_ways(caps, cost, clear + 1)
         if proof is not None and cost + 1 >= proof:
             if cost >= proof and close < n:  # no near miss on the level before
                 if seps is None:
                     seps, covers = _pair_tables(ones)
                 examined += descend((1 << len(seps)) - 1, -1, cost, 0)
                 if found:
-                    return cost, examined, checked, found
+                    return cost, examined, checked, built, found
                 continue
             close = n - 2
-        # A node reads best[r] for the cost r left below it, r < cost.
-        level = cost
         if built >= bound_gate:
             make_bound()
         elif best is not None:
@@ -495,8 +540,8 @@ def _search(
         gate = n * n * min(cost - 1, strongest)
         examined += extend(start, -1, cost, 0, 1, 0, 0 if best is None else n - 1)
         if found:
-            return cost, examined, checked, found
-    return None, examined, checked, found
+            return cost, examined, checked, built, found
+    return None, examined, checked, built, found
 
 
 def solve_dim(g: Graph, d: Optional[DistanceMatrix] = None) -> SolverResult:
@@ -534,10 +579,10 @@ def _solve_truncated(g: Graph, k: int, d: Optional[DistanceMatrix], kind: str) -
     rows = d.dist if k + 1 >= n else [truncated_row(row, k, n) for row in d.dist]
     twins = d.twins
     lb = max(1, twins.forced_minimum())
-    size, examined, checked, found = _search((None, rows), (1,) * n, lb, twins.groups, False)
+    size, examined, checked, built, found = _search((None, rows), (1,) * n, lb, twins.groups, False)
     if size is None:
         raise RuntimeError("subset search exhausted without a resolving set")
-    return SolverResult(kind, size, next(zip(*found[0])), examined, lb, checked)
+    return SolverResult(kind, size, next(zip(*found[0])), examined, lb, checked, built)
 
 
 def _level_proof(rows, n: int, lb: int) -> Optional[int]:
@@ -678,8 +723,8 @@ def solve_bdim(g: Graph, d: Optional[DistanceMatrix] = None) -> SolverResult:
         raise ValueError("graph has no vertices")
     if n == 1:
         return SolverResult("bdim", 1, Broadcast((1,)), 0, 1, 0)
-    lb, cost, examined, checked, found = _broadcast_search(g, d, False)
-    return SolverResult("bdim", cost, Broadcast(_vector(n, found[0])), examined, lb, checked)
+    lb, cost, examined, checked, built, found = _broadcast_search(g, d, False)
+    return SolverResult("bdim", cost, Broadcast(_vector(n, found[0])), examined, lb, checked, built)
 
 
 def enumerate_min_broadcasts(g: Graph, d: Optional[DistanceMatrix] = None) -> EnumerationResult:
@@ -693,7 +738,7 @@ def enumerate_min_broadcasts(g: Graph, d: Optional[DistanceMatrix] = None) -> En
     n = g.n
     if n == 0:
         raise ValueError("graph has no vertices")
-    _, cost, _, _, found = _broadcast_search(g, d, True)
+    _, cost, _, _, _, found = _broadcast_search(g, d, True)
     return EnumerationResult(cost, tuple(_vector(n, sup) for sup in found))
 
 

@@ -190,6 +190,7 @@ def test_solve_runs_bfs_once(monkeypatch, capsys):
         assert calls.get("metric_profile", 0) <= 1, argv
         stats = Report.from_json(capsys.readouterr().out).stats
         assert stats["candidates_checked"] <= stats["candidates_examined"]
+        assert stats["nodes_built"] >= 0
 
 
 def test_dimk_needs_k(tmp_path, capsys):

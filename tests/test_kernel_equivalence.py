@@ -11,14 +11,17 @@ without checking them.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, product
+from math import comb
 from operator import or_
 
 import pytest
 import seed_oracle
 from resolvedim import (
     all_pairs_distances,
+    build_graph,
     disjoint_union,
     enumerate_min_broadcasts,
     families,
@@ -33,6 +36,7 @@ from resolvedim.graphs import truncated_row
 from resolvedim import solvers
 from resolvedim.solvers import (
     _class_gains,
+    _cost_ways,
     _counting_idle,
     _grow_class_bound,
     _pair_tables,
@@ -216,6 +220,54 @@ def test_class_count_bound_holds_for_every_completion():
                         for rest in completions(caps, z, r):
                             vec = prefix + [0] + list(rest)
                             assert classes(rows, vec) - base <= best[r][z], (g.edges(), vec, r)
+
+
+def test_cost_ways_match_a_brute_force_count():
+    # ways[i][r] counts the strength vectors of cost r on vertices i.. within
+    # the caps: checked by brute force on random cap lists of length 0 to 7,
+    # caps 1 to 4, at every level up to cost 6 and from a random first row;
+    # all-1 caps give binomials.
+    rng = random.Random(19930407)
+    upto = 6
+    for length in range(8):
+        for _ in range(12):
+            caps = [rng.randint(1, 4) for _ in range(length)]
+            brute = []
+            for i in range(length + 1):
+                costs = Counter(map(sum, product(*(range(cap + 1) for cap in caps[i:]))))
+                brute.append([costs[r] for r in range(upto + 1)])
+            for level in range(upto + 1):
+                assert _cost_ways(caps, level) == [row[: level + 1] for row in brute], (caps, level)
+            # The rows below `low` are left out.
+            low = rng.randint(0, length)
+            assert _cost_ways(caps, upto, low) == [None] * low + brute[low:], (caps, low)
+        ones = [1] * length
+        assert _cost_ways(ones, upto) == [[comb(length - i, r) for r in range(upto + 1)] for i in range(length + 1)]
+
+
+def test_twin_members_low_or_high_keep_every_field():
+    # The cost table counts below a cut only above the highest twin-group
+    # member. The same trees, numbered with their twin leaves first (the
+    # table counts almost every cut subtree) and last (it counts none, and
+    # the counting walk counts them all), match the oracle field for field.
+    adim_oracle = lambda g, d: seed_oracle.solve_dim_k(g, 1, d)
+    kinds = ((solve_bdim, seed_oracle.solve_bdim), (solve_adim, adim_oracle), (solve_dim, seed_oracle.solve_dim))
+    # The first three seeds whose tree has twin leaves.
+    for n, seeds in ((12, (0, 5, 8)), (14, (0, 1, 2))):
+        for seed in seeds:
+            tree = families.random_tree(n, seed)
+            members = sorted(v for grp in twin_partition(tree).groups if len(grp) > 1 for v in grp)
+            assert members, (n, seed)
+            rest = [v for v in range(n) if v not in members]
+            for order in (members + rest, rest + members):
+                label = {v: i for i, v in enumerate(order)}
+                g = build_graph(n, [(label[u], label[v]) for u, v in tree.edges()])
+                d = all_pairs_distances(g)
+                for solve, oracle in kinds:
+                    new = solve(g, d)
+                    assert _fields(new) == _fields(oracle(g, d)), f"{new.kind} on tree n={n} seed={seed} order={order}"
+
+
 def test_cycle_and_path_of_order_10():
     _assert_same_solves(families.cycle(10))
     _assert_same_solves(families.path(10))

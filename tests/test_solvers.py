@@ -338,3 +338,13 @@ def test_solver_stats_present():
     assert res.candidates_examined >= 1
     assert res.lower_bound_used >= 1
     assert res.kind == "bdim"
+
+
+def test_nodes_built_counts_the_code_scan():
+    # A solve of order 2 or less checks its leaves and builds no node's
+    # codes; bdim of C16 builds the codes of 1,551 nodes.
+    for g in labelled_graphs(2):
+        d = all_pairs_distances(g)
+        for res in (solve_dim(g, d), solve_adim(g, d), solve_dim_k(g, 2, d), solve_bdim(g, d)):
+            assert res.nodes_built == 0, (res.kind, g.n, g.edges())
+    assert solve_bdim(families.cycle(16)).nodes_built == 1551
