@@ -25,20 +25,23 @@ def parse_graph(text: str) -> Graph:
             continue
         if ch == "{":
             return _parse_json(stripped)
-        return _parse_edge_list(text)
+        return _parse_edge_list(stripped)
     raise ValueError("empty graph input")
 
 
 def _strip_comments(text: str) -> str:
+    """Drop everything after '#' on each line, keeping one line per input
+    line, so line numbers still count input lines."""
     return "\n".join(line.split("#", 1)[0] for line in text.splitlines())
 
 
 def _parse_edge_list(text: str) -> Graph:
+    """Parse an edge list whose comments `_strip_comments` removed."""
     header = None
     edges = []
     expected = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.strip()
         if not line:
             continue
         fields = line.split()

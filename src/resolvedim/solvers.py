@@ -86,7 +86,8 @@ above the node. At n >= 12, while the class-count bound is idle, the
 walk starts at the first level above the first one scanned that has
 more than 4 * C(n, 2) subsets. A level whose predecessor's scan checked
 a leaf within 2 classes of resolving is scanned instead, so each near
-miss defers the walk by one level. So the counts stay the same, and `candidates_checked` leaves out
+miss defers the walk by one level. The walk examines the same candidates
+as the scan, so the counts stay the same; `candidates_checked` leaves out
 the proved subtrees and levels too.
 
 The split cut also works by pairs, inside the code scan, for all four
@@ -195,19 +196,43 @@ def _cost_ways(caps: Sequence[int], level: int, low: int = 0) -> list[Optional[l
     return [None] * low + ways[::-1]
 
 
-def _grow_class_bound(best: list[list[int]], above: list[list[int]]) -> None:
-    """Append best[r][z] for the next r = len(best): the most classes that
-    cost r, spent on the vertices above z, can add to any codes.
+def _grow_class_bound(best: list[list[int]], above: list[list[int]], size: int) -> None:
+    """Append best[r][z] for each r from len(best) up to size - 1: the most
+    classes that cost r, spent on the vertices above z, can add to any
+    codes.
 
     A vertex w > z at strength v adds at most gain[v][w] <= above[v][z]
     classes, so cost r adds at most the best split of r over strengths,
     each strength priced at `above`. best[0] is all 0.
     """
-    r = len(best)
-    row = [0] * len(best[0])
-    for v in range(1, min(r, len(above) - 1) + 1):
-        row = list(map(max, row, map(add, above[v], best[r - v])))
-    best.append(row)
+    for r in range(len(best), size):
+        row = [0] * len(best[0])
+        for v in range(1, min(r, len(above) - 1) + 1):
+            row = list(map(max, row, map(add, above[v], best[r - v])))
+        best.append(row)
+
+
+def _twin_debt(masks: Sequence[int], free: int, n: int) -> tuple[int, int, int]:
+    """Return (hi, owed, owing) for the twin groups `masks`, bitmasks of two
+    or more vertices, at a node whose unchosen group members are the
+    bitmask `free`. A vector leaves at most one member of each group at
+    strength 0, so every group must still take all but one of its free
+    members: `owed` such support vertices in all, paid by the members in
+    `owing`. The next support vertex lies below `hi`, one past the second
+    lowest free member of any group that owes one, or n: a vertex at or
+    above it would pass over two free members of that group for good."""
+    hi = n
+    owed = owing = 0
+    for m in masks:
+        t = free & m
+        u = t & (t - 1)
+        if u:
+            p = (u & -u).bit_length()
+            if p < hi:
+                hi = p
+            owed += t.bit_count() - 1
+            owing |= t
+    return hi, owed, owing
 
 
 def _split_classes(rows, caps: Sequence[int], base: int, r: int) -> list[list[int]]:
@@ -276,7 +301,8 @@ def _search(
     ones = rows[1]
     masks = [sum(map((1).__lshift__, grp)) for grp in groups if len(grp) > 1]
     members = sum(masks)
-    top = 1 << n
+    # `_twin_debt` of each `free` mask met, made on first use.
+    debt: dict[int, tuple[int, int, int]] = {}
     checked = 0
     built = 0  # the nodes whose codes were built
     memo: dict[tuple[int, int, int, int, int], int] = {}
@@ -318,54 +344,39 @@ def _search(
         if not _counting_idle(ones, n):
             gain, above = _class_gains(rows, n)
             best = [[0] * n]
-            while len(best) < level:
-                _grow_class_bound(best, above)
+            _grow_class_bound(best, above, level)
 
-    def extend(codes, last: int, rem: int, supp: int, weight: int, zeros: int, missing: int) -> int:
+    def extend(codes, last: int, rem: int, supp: int, weight: int, free: int, missing: int) -> int:
         """Try every way to spend `rem` more on vertices above `last`, and
         return the number of candidates examined below this node.
 
         `codes` holds each vertex's code so far, times `base`, and falls
         `missing` classes short of n (0 when not known); the vector so far
-        has `supp` support vertices, prod(f + 1) = `weight`, and the
-        vertices up to `last` at strength 0 in the bitmask `zeros`.
-        The walk stops at the first resolving vector unless it collects.
-        With `codes` None it counts every candidate below instead, builds
-        no code, and memoises the count on what the walk reads: |supp| and
-        the product only matter up to `need`, and `zeros` only on twin
-        group members. Its first such call makes the cost table, and its
-        children, like every cut child, take their counts from the table
-        where it applies.
+        has `supp` support vertices and prod(f + 1) = `weight`, and `free`
+        holds the twin-group members it has not chosen, all that the twin
+        rule reads (`_twin_debt`). The walk stops at the first resolving
+        vector unless it collects. With `codes` None it counts every
+        candidate below instead, builds no code, and memoises the count on
+        what the walk reads: |supp| and the product only matter up to
+        `need`. Its first such call makes the cost table, and its children,
+        like every cut child, take their counts from the table where it
+        applies.
         """
         nonlocal checked, built, close, ways, clear
         if codes is None:
             if ways is None:
                 clear = members.bit_length() - 1  # the highest twin-group member
                 ways = _cost_ways(caps, level, clear + 1)
-            key = (last, rem, min(supp, need), min(weight, need), zeros & members)
+            key = (last, rem, min(supp, need), min(weight, need), free)
             total = memo.get(key)
             if total is not None:
                 return total
         supp += 1  # counting the next support vertex
         hi = n  # the next support vertex is below hi
-        owed = 0  # support vertices still owed to twin groups
-        owing = 0  # the members that can pay them
-        still = 0
-        skipped = 0
+        owed = owing = still = 0  # the twin groups' debt: see `_twin_debt`
+        next_free = free  # the free members below the next child
         if masks:
-            above_last = top - (1 << (last + 1))
-            for m in masks:
-                # The group's members left at 0 if nothing above `last` is
-                # chosen; all but one of them must still be chosen, and the
-                # next vertex may not skip two of them.
-                t = (zeros | above_last) & m
-                u = t & (t - 1)
-                if u:
-                    p = (u & -u).bit_length()
-                    if p < hi:
-                        hi = p
-                    owed += t.bit_count() - 1
-                    owing |= t
+            hi, owed, owing = debt.get(free) or debt.setdefault(free, _twin_debt(masks, free, n))
         zs = range(hi - 1, last, -1) if broadcast else range(last + 1, hi)
         total = 0
         if rem == 1:
@@ -401,7 +412,7 @@ def _search(
                     continue
                 if masks:
                     still = owed - (owing >> z & 1)
-                    skipped = zeros | ((1 << z) - (1 << (last + 1)))
+                    next_free = free & ~(1 << z)
                 for v in range(lo if lo > 1 else 1, cap + 1 if cap < rem else rem):
                     left = rem - v
                     w = weight * (v + 1)
@@ -436,10 +447,10 @@ def _search(
                         if z >= clear and supp + 1 + w * (left + 1) >= need:
                             total += ways[z + 1][left]
                         else:
-                            total += extend(None, z, left, supp, w, skipped, 0)
+                            total += extend(None, z, left, supp, w, next_free, 0)
                         continue
                     path.append((z, v))
-                    total += extend(nxt, z, left, supp, w, skipped, short)
+                    total += extend(nxt, z, left, supp, w, next_free, short)
                     if found and not collect:
                         return total
                     path.pop()
@@ -460,12 +471,14 @@ def _search(
     if proof is not None:
         # The pair tables, made on first use.
         seps = covers = None
+        top = 1 << n
 
-        def descend(open_: int, last: int, rem: int, zeros: int) -> int:
+        def descend(open_: int, last: int, rem: int, free: int) -> int:
             """Walk a set level as `extend` does, carrying the bitmask of
             the pairs no landmark of the set so far separates instead of
             codes, and return the number of candidates examined below this
-            node.
+            node. `free` holds the twin-group members not chosen, and the
+            twin rule reads it through `_twin_debt` as in `extend`.
 
             A node with rem >= 2 whose open pairs no `rem` landmarks above
             `last` can separate (`_separable`) is walked in counting mode,
@@ -473,20 +486,13 @@ def _search(
             pair.
             """
             nonlocal checked
-            above_last = top - (1 << (last + 1))
-            if rem > 1 and not _separable(seps, covers, rem, open_, above_last):
-                return ways[last + 1][rem] if last >= clear else extend(None, last, rem, 0, 1, zeros, 0)
-            # The twin groups bound and owe support vertices as in `extend`.
+            if rem > 1 and not _separable(seps, covers, rem, open_, top - (1 << (last + 1))):
+                return ways[last + 1][rem] if last >= clear else extend(None, last, rem, 0, 1, free, 0)
             hi = n
-            owed = owing = still = skipped = 0
+            owed = owing = 0
+            next_free = free
             if masks:
-                for m in masks:
-                    t = (zeros | above_last) & m
-                    u = t & (t - 1)
-                    if u:
-                        hi = min(hi, (u & -u).bit_length())
-                        owed += t.bit_count() - 1
-                        owing |= t
+                hi, owed, owing = debt.get(free) or debt.setdefault(free, _twin_debt(masks, free, n))
             total = 0
             if rem == 1:
                 for z in range(last + 1, hi):
@@ -501,12 +507,11 @@ def _search(
             # z leaves at least the rem - 1 vertices the set still takes above it.
             for z in range(last + 1, min(hi, n + 1 - rem)):
                 if masks:
-                    still = owed - (owing >> z & 1)
-                    if still >= rem:
+                    if owed - (owing >> z & 1) >= rem:
                         continue
-                    skipped = zeros | ((1 << z) - (1 << (last + 1)))
+                    next_free = free & ~(1 << z)
                 path.append((z, 1))
-                total += descend(open_ & ~covers[z], z, rem - 1, skipped)
+                total += descend(open_ & ~covers[z], z, rem - 1, next_free)
                 if found:
                     return total
                 path.pop()
@@ -524,7 +529,7 @@ def _search(
             if cost >= proof and close < n:  # no near miss on the level before
                 if seps is None:
                     seps, covers = _pair_tables(ones)
-                examined += descend((1 << len(seps)) - 1, -1, cost, 0)
+                examined += descend((1 << len(seps)) - 1, -1, cost, members)
                 if found:
                     return cost, examined, checked, built, found
                 continue
@@ -532,13 +537,12 @@ def _search(
         if built >= bound_gate:
             make_bound()
         elif best is not None:
-            while len(best) < level:
-                _grow_class_bound(best, above)
+            _grow_class_bound(best, above, level)
         # The split cut reads strengths 1..cost - 1, which take
         # min(cost - 1, max(caps)) class lists of n * n entries; it
         # waits for n * n nodes per strength, n codes each.
         gate = n * n * min(cost - 1, strongest)
-        examined += extend(start, -1, cost, 0, 1, 0, 0 if best is None else n - 1)
+        examined += extend(start, -1, cost, 0, 1, members, 0 if best is None else n - 1)
         if found:
             return cost, examined, checked, built, found
     return None, examined, checked, built, found

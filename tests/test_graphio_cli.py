@@ -38,6 +38,10 @@ def test_parse_errors_name_the_line():
         graphio.parse_graph("2 1\n0 1 2\n")
     with pytest.raises(ValueError, match="line 2"):
         graphio.parse_graph("2 1\n0 x\n")
+    # Comment lines and trailing comments still count as input lines, and
+    # the message quotes the line without its comment.
+    with pytest.raises(ValueError, match=r"line 4: not an integer pair: '0 x'$"):
+        graphio.parse_graph("# header next\n2 1\n  # none here\n0 x  # bad\n")
     with pytest.raises(ValueError, match="promised"):
         graphio.parse_graph("3 2\n0 1\n")
     with pytest.raises(ValueError, match="nonnegative"):

@@ -41,6 +41,7 @@ from resolvedim.solvers import (
     _grow_class_bound,
     _pair_tables,
     _separable,
+    _twin_debt,
     broadcast_value_caps,
 )
 from resolvedim.verify import labelled_graphs
@@ -207,8 +208,12 @@ def test_class_count_bound_holds_for_every_completion():
         for rows, caps in ((broadcast, caps), (adjacency, (1,) * n)):
             gain, above = _class_gains(rows, n)
             best = [[0] * n]
-            for _ in range(upto):
-                _grow_class_bound(best, above)
+            _grow_class_bound(best, above, upto + 1)
+            # Grown a level at a time, as the search grows it, it is the same.
+            steps = [[0] * n]
+            for size in range(upto + 2):
+                _grow_class_bound(steps, above, size)
+            assert steps == best
             for z in range(n):
                 for _ in range(3):
                     prefix = [rng.randint(0, caps[x]) for x in range(z)]
@@ -243,6 +248,51 @@ def test_cost_ways_match_a_brute_force_count():
             assert _cost_ways(caps, upto, low) == [None] * low + brute[low:], (caps, low)
         ones = [1] * length
         assert _cost_ways(ones, upto) == [[comb(length - i, r) for r in range(upto + 1)] for i in range(length + 1)]
+
+
+def test_twin_debt_matches_the_twin_rule():
+    # The twin rule: a vector leaves at most one member of each twin group
+    # at strength 0. At a node whose last support vertex is `last` and
+    # whose unchosen members are `free`, the completions are the vertex
+    # sets S above `last` that leave at most one free member of each group
+    # unchosen. By brute force over them, on random groups of n <= 8
+    # vertices and every node state the walk can reach (every member
+    # above `last` free, at most one free member of a group up to it):
+    # `owed` is the fewest members any completion chooses, z > last starts
+    # one exactly when z < hi, and then the fewest members it chooses
+    # besides z is owed less 1 if z is in `owing`.
+    rng = random.Random(20261020)
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        order = rng.sample(range(n), n)
+        masks = []
+        while len(order) >= 2 and rng.random() < 0.8:
+            size = rng.randint(2, min(4, len(order)))
+            masks.append(sum(1 << v for v in order[:size]))
+            order = order[size:]
+        members = sum(masks)
+        for last in range(-1, n):
+            below = members & ((1 << (last + 1)) - 1)
+            sets = [
+                sum(1 << v for v in vs)
+                for size in range(n - last)
+                for vs in combinations(range(last + 1, n), size)
+            ]
+            for kept in range(1 << n):
+                if kept & ~below:
+                    continue
+                free = kept | (members & ~below)
+                if any((free & below & m).bit_count() > 1 for m in masks):
+                    continue
+                hi, owed, owing = _twin_debt(masks, free, n)
+                ok = [s for s in sets if all((free & m & ~s).bit_count() <= 1 for m in masks)]
+                assert owed == min((s & members).bit_count() for s in ok), (masks, last, free)
+                for z in range(last + 1, n):
+                    starts = [s for s in ok if s & -s == 1 << z]
+                    assert bool(starts) == (z < hi), (masks, last, free, z)
+                    if starts:
+                        fewest = min((s & members & ~(1 << z)).bit_count() for s in starts)
+                        assert fewest == owed - (owing >> z & 1), (masks, last, free, z)
 
 
 def test_twin_members_low_or_high_keep_every_field():

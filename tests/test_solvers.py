@@ -348,3 +348,15 @@ def test_nodes_built_counts_the_code_scan():
         for res in (solve_dim(g, d), solve_adim(g, d), solve_dim_k(g, 2, d), solve_bdim(g, d)):
             assert res.nodes_built == 0, (res.kind, g.n, g.edges())
     assert solve_bdim(families.cycle(16)).nodes_built == 1551
+    # Trees with twin leaves, where the twin rule bounds and steers the
+    # walk: (candidates checked, nodes built). The first two have one
+    # group of three and two groups of two; dim of random_tree(28, 1)
+    # meets its twin groups on the pair-table walk.
+    for solve, g, counts in (
+        (solve_bdim, families.random_tree(14, 1), (1463, 3463)),
+        (solve_bdim, families.random_tree(14, 0), (1608, 2609)),
+        (solve_adim, families.random_tree(20, 2), (197, 5669)),
+        (solve_dim, families.random_tree(28, 1), (26, 3)),
+    ):
+        res = solve(g)
+        assert (res.candidates_checked, res.nodes_built) == counts, (res.kind, g.n)
