@@ -73,7 +73,6 @@ class DistanceMatrix:
     unreachable pair. The graph's twins, metric profile and tree profile
     are computed on first use and kept."""
 
-    n: int
     dist: tuple[tuple[int, ...], ...]
     graph: Graph = field(compare=False, repr=False)
 
@@ -151,7 +150,7 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
                     row[w] = du + 1
                     q.append(w)
         rows.append(tuple(row))
-    return DistanceMatrix(n, tuple(rows), g)
+    return DistanceMatrix(tuple(rows), g)
 
 
 def truncated_row(drow: Sequence[int], k: int, n: int) -> tuple[int, ...]:

@@ -790,34 +790,17 @@ def flatten_path_cycle_broadcast(g: Graph, f, d: Optional[DistanceMatrix] = None
         raise ValueError(f"broadcast is not resolving (pair {verdict.unresolved_pair})")
     vals = list(f.values if isinstance(f, Broadcast) else f)
     original_cost = sum(vals)
-    while True:
-        try:
-            j = next(v for v in range(n) if vals[v] > 1)
-        except StopIteration:
-            break
+    while (j := next((v for v in range(n) if vals[v] > 1), None)) is not None:
         x = vals[j]
-        assigned: dict[int, int] = {}
-
-        def put(v: int, value: int) -> None:
-            assigned[v] = max(assigned.get(v, 0), value)
-
-        if x == 2:
-            if shape == "path" and j == 0:
-                put(0, 1)
-                put(1, 1)
-            elif shape == "path" and j == n - 1:
-                put(n - 1, 1)
-                put(n - 2, 1)
-            else:
-                put((j - 1) % n, 1)
-                put((j + 1) % n, 1)
-                put(j, 0)
+        if x == 2 and shape == "path" and j in (0, n - 1):
+            vals[j] = 1
+            targets = (1 if j == 0 else n - 2,)
         else:
-            put(j, x - 2)
-            put((j - x + 1) % n, 1)
-            put((j + x - 1) % n, 1)
-        for v, value in assigned.items():
-            vals[v] = value if v == j else max(vals[v], value)
+            vals[j] = x - 2
+            targets = ((j - x + 1) % n, (j + x - 1) % n)
+        for t in targets:
+            if t != j:
+                vals[t] = max(vals[t], 1)
     result = Broadcast(tuple(vals))
     if not is_resolving_broadcast(g, result, d):
         result = Broadcast(_vector(n, ((v, 1) for v in solve_adim(g, d).witness)))

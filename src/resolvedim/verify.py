@@ -2,21 +2,23 @@
 small orders, seeded samples, and the sharp constructions.
 
 Each suite yields one check per instance; a failing check carries the
-graph literal so the case can be replayed. The minimum-broadcast
-enumerator is cross-checked against `naive_min_broadcasts`, a
-definition-direct second route that shares no code with the solver
-(its own BFS, its own vector scan, its own code comparison). The
-enumerator is bdim's search, while the naive route has no caps and
-starts at cost 1, so the cross-check also tests bdim's strength caps and
-starting lower bound.
+graph literal so the case can be replayed. Most suites are a check of
+one graph, which `each` runs over one of the context's instance
+sources. The minimum-broadcast enumerator is cross-checked against
+`naive_min_broadcasts`, a definition-direct second route that shares no
+code with the solver (its own BFS, its own vector scan, its own code
+comparison). The enumerator is bdim's search, while the naive route has
+no caps and starts at cost 1, so the cross-check also tests bdim's
+strength caps and starting lower bound.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from itertools import combinations, product
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from . import families, formulas
 from .graphs import (
@@ -165,17 +167,16 @@ class VerifyContext:
                 produced += 1
                 yield g
 
-    def random_trees(self, max_order: int = 10) -> Iterator[Graph]:
-        rng = self.rng_for("trees")
-        for _ in range(self.tree_samples):
-            n = rng.randint(2, max_order)
-            yield families.random_tree(n, rng.randrange(2**31))
-
     def trees(self) -> list[Graph]:
-        """The battery's trees followed by the seeded random trees."""
+        """The battery's trees followed by `tree_samples` seeded random
+        trees of order 2..10."""
         if self._trees is None:
+            rng = self.rng_for("trees")
             self._trees = [g for g in self.battery() if self.dist(g).tree.is_tree]
-            self._trees += self.random_trees()
+            self._trees += [
+                families.random_tree(rng.randint(2, 10), rng.randrange(2**31))
+                for _ in range(self.tree_samples)
+            ]
         return self._trees
 
 
@@ -223,169 +224,156 @@ def naive_min_broadcasts(g: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
 
 # ---------------------------------------------------------------- suites
 
-
-def suite_chain(ctx: VerifyContext) -> Iterator[Check]:
-    for g in ctx.battery():
-        if g.n == 1:
-            vals = (ctx.solve("dim", g), ctx.solve("adim", g), ctx.solve("bdim", g))
-            yield Check(g, vals == (1, 1, 1), f"order-1 convention got {vals}")
-            continue
-        dim = ctx.solve("dim", g)
-        bdim = ctx.solve("bdim", g)
-        adim = ctx.solve("adim", g)
-        ok = dim <= bdim <= adim <= g.n - 1
-        yield Check(g, ok, f"dim={dim} bdim={bdim} adim={adim}")
+# What a graph check says of one instance: (passed, detail), or None to
+# leave the instance out of the suite's count.
+Outcome = Optional[tuple[bool, str]]
 
 
-def suite_diam_collapse(ctx: VerifyContext) -> Iterator[Check]:
-    for g in ctx.battery():
-        prof = ctx.dist(g).profile
-        if g.n < 2 or not prof.connected or prof.diameter > 2:
-            continue
-        vals = {ctx.solve("dim", g), ctx.solve("adim", g), ctx.solve("bdim", g)}
-        yield Check(g, len(vals) == 1, f"values {sorted(vals)}")
+def each(source: Callable[[VerifyContext], Iterable[Graph]], min_order: int = 1):
+    """Make a suite of `check(ctx, g) -> Outcome`: one Check per graph of
+    `source(ctx)` of order at least `min_order` whose outcome is not None."""
+
+    def suite(check: Callable[[VerifyContext, Graph], Outcome]):
+        @functools.wraps(check)
+        def run(ctx: VerifyContext) -> Iterator[Check]:
+            for g in source(ctx):
+                if g.n >= min_order and (outcome := check(ctx, g)) is not None:
+                    yield Check(g, *outcome)
+
+        return run
+
+    return suite
 
 
-def suite_complement_adim(ctx: VerifyContext) -> Iterator[Check]:
-    for g in ctx.battery():
-        a = ctx.solve("adim", g)
-        b = ctx.solve("adim", complement(g))
-        yield Check(g, a == b, f"adim={a} complement={b}")
+@each(VerifyContext.battery)
+def suite_chain(ctx: VerifyContext, g: Graph) -> Outcome:
+    if g.n == 1:
+        vals = (ctx.solve("dim", g), ctx.solve("adim", g), ctx.solve("bdim", g))
+        return vals == (1, 1, 1), f"order-1 convention got {vals}"
+    dim = ctx.solve("dim", g)
+    bdim = ctx.solve("bdim", g)
+    adim = ctx.solve("adim", g)
+    return dim <= bdim <= adim <= g.n - 1, f"dim={dim} bdim={bdim} adim={adim}"
 
 
-def suite_twin_distance(ctx: VerifyContext) -> Iterator[Check]:
-    for g in ctx.battery():
-        d = ctx.dist(g)
-        bad = ""
-        for u, w in d.twins.pairs:
-            for z in range(g.n):
-                if z in (u, w):
-                    continue
-                if d.dist[z][u] != d.dist[z][w]:
-                    bad = f"pair ({u},{w}) split by {z}"
-                    break
-            if bad:
-                break
-        yield Check(g, not bad, bad)
+@each(VerifyContext.battery, min_order=2)
+def suite_diam_collapse(ctx: VerifyContext, g: Graph) -> Outcome:
+    prof = ctx.dist(g).profile
+    if not prof.connected or prof.diameter > 2:
+        return None
+    vals = {ctx.solve("dim", g), ctx.solve("adim", g), ctx.solve("bdim", g)}
+    return len(vals) == 1, f"values {sorted(vals)}"
 
 
-def suite_twin_support(ctx: VerifyContext) -> Iterator[Check]:
-    for g in ctx.battery():
-        if g.n < 3:
-            continue
-        pairs = ctx.dist(g).twins.pairs
-        if not pairs:
-            continue
-        ok = True
-        detail = ""
-        for u, w in pairs:
-            vals = [1] * g.n
-            vals[u] = vals[w] = 0
-            verdict = is_resolving_broadcast(g, tuple(vals), ctx.dist(g))
-            if verdict.resolving or verdict.unresolved_pair != (u, w):
-                ok = False
-                detail = f"pair ({u},{w}) gave {verdict}"
-                break
-        yield Check(g, ok, detail)
+@each(VerifyContext.battery)
+def suite_complement_adim(ctx: VerifyContext, g: Graph) -> Outcome:
+    a = ctx.solve("adim", g)
+    b = ctx.solve("adim", complement(g))
+    return a == b, f"adim={a} complement={b}"
 
 
-def suite_truncation(ctx: VerifyContext) -> Iterator[Check]:
-    for g in ctx.battery():
-        n = g.n
-        if n < 2:
-            continue
-        detail = ""
-        for x, row in enumerate(ctx.dist(g).dist):
-            prev = None
-            # k + 1 passes n at k = n, so both ways of truncating are seen.
-            for k in range(1, n + 3):
-                cut = truncated_row(row, k, n)
-                for y, (real, got) in enumerate(zip(row, cut)):
-                    if prev is not None and got < prev[y]:
-                        detail = f"d_k({x},{y}) dropped at k={k}"
-                    elif real < n and k >= real and got != real:
-                        detail = f"d_k({x},{y}) missed exact distance at k={k}"
-                    elif real >= n and got != k + 1:
-                        detail = f"d_k({x},{y}) infinite pair not pinned at k+1={k + 1}"
-                prev = cut
-        yield Check(g, not detail, detail)
+@each(VerifyContext.battery)
+def suite_twin_distance(ctx: VerifyContext, g: Graph) -> Outcome:
+    d = ctx.dist(g)
+    for u, w in d.twins.pairs:
+        for z in range(g.n):
+            if z not in (u, w) and d.dist[z][u] != d.dist[z][w]:
+                return False, f"pair ({u},{w}) split by {z}"
+    return True, ""
 
 
-def suite_counting_witness(ctx: VerifyContext) -> Iterator[Check]:
-    for g in ctx.battery():
-        if g.n < 2:
-            continue
-        witness = ctx.result("bdim", g).witness
-        ok = counting_feasible(g, witness)
-        yield Check(g, ok, f"witness {witness.values}")
+@each(VerifyContext.battery, min_order=3)
+def suite_twin_support(ctx: VerifyContext, g: Graph) -> Outcome:
+    pairs = ctx.dist(g).twins.pairs
+    if not pairs:
+        return None
+    for u, w in pairs:
+        vals = [1] * g.n
+        vals[u] = vals[w] = 0
+        verdict = is_resolving_broadcast(g, tuple(vals), ctx.dist(g))
+        if verdict.resolving or verdict.unresolved_pair != (u, w):
+            return False, f"pair ({u},{w}) gave {verdict}"
+    return True, ""
 
 
-def suite_broadcast_monotone(ctx: VerifyContext) -> Iterator[Check]:
-    for g in ctx.battery():
-        if g.n < 2:
-            continue
-        d = ctx.dist(g)
-        base = ctx.result("bdim", g).witness.values
-        ok = True
-        detail = ""
-        for v in range(g.n):
-            raised = list(base)
-            raised[v] += 1
-            if not is_resolving_broadcast(g, tuple(raised), d):
-                ok = False
-                detail = f"raising vertex {v} broke resolution"
-                break
-        yield Check(g, ok, detail)
+@each(VerifyContext.battery, min_order=2)
+def suite_truncation(ctx: VerifyContext, g: Graph) -> Outcome:
+    n = g.n
+    # Every entry is checked; a failing graph reports its last fault.
+    detail = ""
+    for x, row in enumerate(ctx.dist(g).dist):
+        prev = None
+        # k + 1 passes n at k = n, so both ways of truncating are seen.
+        for k in range(1, n + 3):
+            cut = truncated_row(row, k, n)
+            for y, (real, got) in enumerate(zip(row, cut)):
+                if prev is not None and got < prev[y]:
+                    detail = f"d_k({x},{y}) dropped at k={k}"
+                elif real < n and k >= real and got != real:
+                    detail = f"d_k({x},{y}) missed exact distance at k={k}"
+                elif real >= n and got != k + 1:
+                    detail = f"d_k({x},{y}) infinite pair not pinned at k+1={k + 1}"
+            prev = cut
+    return not detail, detail
 
 
-def suite_bdim_sandwich(ctx: VerifyContext) -> Iterator[Check]:
-    for g in ctx.battery():
-        prof = ctx.dist(g).profile
-        if g.n < 2 or not prof.connected:
-            continue
-        diam = prof.diameter
-        bdim = ctx.solve("bdim", g)
-        low = -(-diam // 3) <= bdim
-        if diam >= 2:
-            high = bdim <= ctx.solve("dim", g) * (diam - 1)
-        else:
-            high = True
-        yield Check(g, low and high, f"d={diam} bdim={bdim}")
+@each(VerifyContext.battery, min_order=2)
+def suite_counting_witness(ctx: VerifyContext, g: Graph) -> Outcome:
+    witness = ctx.result("bdim", g).witness
+    return counting_feasible(g, witness), f"witness {witness.values}"
 
 
-def suite_deltaprime_ratio(ctx: VerifyContext) -> Iterator[Check]:
-    for g in ctx.battery():
-        if g.n < 2:
-            continue
-        dp = delta_prime(g, ctx.dist(g))
-        adim = ctx.solve("adim", g)
-        bdim = ctx.solve("bdim", g)
-        ok = adim <= (dp + 1) * bdim
-        yield Check(g, ok, f"adim={adim} deltaprime={dp} bdim={bdim}")
+@each(VerifyContext.battery, min_order=2)
+def suite_broadcast_monotone(ctx: VerifyContext, g: Graph) -> Outcome:
+    d = ctx.dist(g)
+    base = ctx.result("bdim", g).witness.values
+    for v in range(g.n):
+        raised = list(base)
+        raised[v] += 1
+        if not is_resolving_broadcast(g, tuple(raised), d):
+            return False, f"raising vertex {v} broke resolution"
+    return True, ""
 
 
-def suite_order_bounds(ctx: VerifyContext) -> Iterator[Check]:
-    for g in ctx.battery():
-        if g.n < 2:
-            continue
-        records = formulas.bound_report(
-            g,
-            dim=ctx.solve("dim", g),
-            adim=ctx.solve("adim", g),
-            bdim=ctx.solve("bdim", g),
-            d=ctx.dist(g),
-        )
-        bad = [r.id for r in records if r.applicable and not r.holds]
-        yield Check(g, not bad, f"violated: {bad}")
+@each(VerifyContext.battery, min_order=2)
+def suite_bdim_sandwich(ctx: VerifyContext, g: Graph) -> Outcome:
+    prof = ctx.dist(g).profile
+    if not prof.connected:
+        return None
+    diam = prof.diameter
+    bdim = ctx.solve("bdim", g)
+    high = diam < 2 or bdim <= ctx.solve("dim", g) * (diam - 1)
+    return -(-diam // 3) <= bdim and high, f"d={diam} bdim={bdim}"
 
 
-def suite_characterizations(ctx: VerifyContext) -> Iterator[Check]:
-    for g in ctx.battery():
-        records = formulas.characterize_small(
-            g, adim=ctx.solve("adim", g), bdim=ctx.solve("bdim", g)
-        )
-        bad = [r.id for r in records if not r.consistent]
-        yield Check(g, not bad, f"inconsistent: {bad}")
+@each(VerifyContext.battery, min_order=2)
+def suite_deltaprime_ratio(ctx: VerifyContext, g: Graph) -> Outcome:
+    dp = delta_prime(g, ctx.dist(g))
+    adim = ctx.solve("adim", g)
+    bdim = ctx.solve("bdim", g)
+    return adim <= (dp + 1) * bdim, f"adim={adim} deltaprime={dp} bdim={bdim}"
+
+
+@each(VerifyContext.battery, min_order=2)
+def suite_order_bounds(ctx: VerifyContext, g: Graph) -> Outcome:
+    records = formulas.bound_report(
+        g,
+        dim=ctx.solve("dim", g),
+        adim=ctx.solve("adim", g),
+        bdim=ctx.solve("bdim", g),
+        d=ctx.dist(g),
+    )
+    bad = [r.id for r in records if r.applicable and not r.holds]
+    return not bad, f"violated: {bad}"
+
+
+@each(VerifyContext.battery)
+def suite_characterizations(ctx: VerifyContext, g: Graph) -> Outcome:
+    records = formulas.characterize_small(
+        g, adim=ctx.solve("adim", g), bdim=ctx.solve("bdim", g)
+    )
+    bad = [r.id for r in records if not r.consistent]
+    return not bad, f"inconsistent: {bad}"
 
 
 def suite_cap_safety(ctx: VerifyContext) -> Iterator[Check]:
@@ -417,18 +405,16 @@ def suite_cap_safety(ctx: VerifyContext) -> Iterator[Check]:
         yield Check(g, ok, detail)
 
 
-def suite_enumeration(ctx: VerifyContext) -> Iterator[Check]:
-    for g in ctx.battery():
-        if g.n > 5:
-            continue
-        res = enumerate_min_broadcasts(g, ctx.dist(g))
-        cost, found = naive_min_broadcasts(g)
-        ok = res.optimal_cost == cost and res.broadcasts == found
-        yield Check(
-            g,
-            ok,
-            f"solver cost={res.optimal_cost} #={len(res.broadcasts)}; naive cost={cost} #={len(found)}",
-        )
+@each(VerifyContext.battery)
+def suite_enumeration(ctx: VerifyContext, g: Graph) -> Outcome:
+    if g.n > 5:
+        return None
+    res = enumerate_min_broadcasts(g, ctx.dist(g))
+    cost, found = naive_min_broadcasts(g)
+    return (
+        res.optimal_cost == cost and res.broadcasts == found,
+        f"solver cost={res.optimal_cost} #={len(res.broadcasts)}; naive cost={cost} #={len(found)}",
+    )
 
 
 def suite_flatten(ctx: VerifyContext) -> Iterator[Check]:
@@ -500,101 +486,87 @@ def suite_family_formulas(ctx: VerifyContext) -> Iterator[Check]:
         yield Check(f"spider x={x} s={x} strict gap", bdim > dim, f"dim={dim} bdim={bdim}")
 
 
-def suite_tree_dim(ctx: VerifyContext) -> Iterator[Check]:
-    for g in ctx.trees():
-        want = formulas.tree_dim(g, ctx.dist(g))
-        got = ctx.solve("dim", g)
-        yield Check(g, got == want, f"solver={got} structural={want}")
+@each(VerifyContext.trees)
+def suite_tree_dim(ctx: VerifyContext, g: Graph) -> Outcome:
+    want = formulas.tree_dim(g, ctx.dist(g))
+    got = ctx.solve("dim", g)
+    return got == want, f"solver={got} structural={want}"
 
 
-def suite_tree_witness(ctx: VerifyContext) -> Iterator[Check]:
-    for g in ctx.trees():
-        if ctx.dist(g).tree.ex == 0:
+@each(VerifyContext.trees)
+def suite_tree_witness(ctx: VerifyContext, g: Graph) -> Outcome:
+    if ctx.dist(g).tree.ex == 0:
+        return None
+    witness = ctx.result("dim", g).witness
+    return formulas.verify_zhang_structure(g, witness, ctx.dist(g)), f"witness {witness}"
+
+
+@each(VerifyContext.trees, min_order=2)
+def suite_tree_bdim(ctx: VerifyContext, g: Graph) -> Outcome:
+    dim = ctx.solve("dim", g)
+    bdim = ctx.solve("bdim", g)
+    res = formulas.spider_bdim(g, ctx.dist(g))
+    detail = f"dim={dim} bdim={bdim} qualifying={res.applicable}"
+    if dim != bdim or not res.applicable:
+        return (dim == bdim) == res.applicable, detail
+    w = res.witness
+    ok = (
+        res.value == bdim
+        and w is not None
+        and bool(is_resolving_broadcast(g, w, ctx.dist(g)))
+        and w.cost == bdim
+    )
+    return ok, f"{detail} witness={w.values if w else None}"
+
+
+@each(VerifyContext.deletion_graphs)
+def suite_vertex_deletion(ctx: VerifyContext, g: Graph) -> Outcome:
+    a = ctx.solve("adim", g)
+    for v in range(g.n):
+        h, _ = delete_vertex(g, v)
+        if h.n < 2 or not ctx.dist(h).profile.connected:
             continue
-        witness = ctx.result("dim", g).witness
-        ok = formulas.verify_zhang_structure(g, witness, ctx.dist(g))
-        yield Check(g, ok, f"witness {witness}")
+        ah = ctx.solve("adim", h)
+        if a > ah + 1:
+            return False, f"delete {v}: adim {a} > {ah}+1"
+    return True, ""
 
 
-def suite_tree_bdim(ctx: VerifyContext) -> Iterator[Check]:
-    for g in ctx.trees():
-        if g.n < 2:
+@each(VerifyContext.deletion_graphs)
+def suite_edge_deletion(ctx: VerifyContext, g: Graph) -> Outcome:
+    a = ctx.solve("adim", g)
+    dim = ctx.solve("dim", g)
+    for e in g.edges():
+        h = delete_edge(g, e)
+        if not ctx.dist(h).profile.connected:
             continue
-        dim = ctx.solve("dim", g)
-        bdim = ctx.solve("bdim", g)
-        res = formulas.spider_bdim(g, ctx.dist(g))
-        equal = dim == bdim
-        ok = equal == res.applicable
-        detail = f"dim={dim} bdim={bdim} qualifying={res.applicable}"
-        if ok and res.applicable:
-            ok = (
-                res.value == bdim
-                and res.witness is not None
-                and bool(is_resolving_broadcast(g, res.witness, ctx.dist(g)))
-                and res.witness.cost == bdim
-            )
-            detail += f" witness={res.witness.values if res.witness else None}"
-        yield Check(g, ok, detail)
+        ah = ctx.solve("adim", h)
+        dh = ctx.solve("dim", h)
+        if abs(a - ah) > 1:
+            return False, f"delete {e}: adim {a} vs {ah}"
+        if dh > dim + 2:
+            return False, f"delete {e}: dim {dh} > {dim}+2"
+    return True, ""
 
 
-def suite_vertex_deletion(ctx: VerifyContext) -> Iterator[Check]:
-    for g in ctx.deletion_graphs():
-        a = ctx.solve("adim", g)
-        ok = True
-        detail = ""
-        for v in range(g.n):
-            h, _ = delete_vertex(g, v)
-            if h.n < 2 or not ctx.dist(h).profile.connected:
-                continue
-            ah = ctx.solve("adim", h)
-            if a > ah + 1:
-                ok, detail = False, f"delete {v}: adim {a} > {ah}+1"
-                break
-        yield Check(g, ok, detail)
-
-
-def suite_edge_deletion(ctx: VerifyContext) -> Iterator[Check]:
-    for g in ctx.deletion_graphs():
-        a = ctx.solve("adim", g)
-        dim = ctx.solve("dim", g)
-        ok = True
-        detail = ""
-        for e in g.edges():
-            h = delete_edge(g, e)
-            if not ctx.dist(h).profile.connected:
-                continue
-            ah = ctx.solve("adim", h)
-            dh = ctx.solve("dim", h)
-            if abs(a - ah) > 1:
-                ok, detail = False, f"delete {e}: adim {a} vs {ah}"
-                break
-            if dh > dim + 2:
-                ok, detail = False, f"delete {e}: dim {dh} > {dim}+2"
-                break
-        yield Check(g, ok, detail)
-
-
-def suite_dimk(ctx: VerifyContext) -> Iterator[Check]:
-    for g in ctx.battery():
-        if g.n < 2:
-            continue
-        d = ctx.dist(g)
-        ok = solve_dim_k(g, 1, d).value == ctx.solve("adim", g)
-        detail = "dim_1 != adim" if not ok else ""
-        prof = d.profile
-        if ok and prof.connected:
-            k = max(1, prof.diameter - 1)
-            if solve_dim_k(g, k, d).value != ctx.solve("dim", g):
-                ok, detail = False, f"dim_{k} != dim at diameter {prof.diameter}"
-        if ok and g.n <= 5:
-            prev = None
-            for k in range(1, g.n + 1):
-                val = solve_dim_k(g, k, d).value
-                if prev is not None and val > prev:
-                    ok, detail = False, f"dim_k rose at k={k}"
-                    break
-                prev = val
-        yield Check(g, ok, detail)
+@each(VerifyContext.battery, min_order=2)
+def suite_dimk(ctx: VerifyContext, g: Graph) -> Outcome:
+    d = ctx.dist(g)
+    if solve_dim_k(g, 1, d).value != ctx.solve("adim", g):
+        return False, "dim_1 != adim"
+    prof = d.profile
+    if prof.connected:
+        k = max(1, prof.diameter - 1)
+        if solve_dim_k(g, k, d).value != ctx.solve("dim", g):
+            return False, f"dim_{k} != dim at diameter {prof.diameter}"
+    if g.n <= 5:
+        prev = None
+        for k in range(1, g.n + 1):
+            val = solve_dim_k(g, k, d).value
+            if prev is not None and val > prev:
+                return False, f"dim_k rose at k={k}"
+            prev = val
+    return True, ""
 
 
 def suite_sharp_families(ctx: VerifyContext) -> Iterator[Check]:

@@ -277,6 +277,16 @@ def test_flatten_worked_examples():
     # already flat input is returned unchanged
     g = families.path(5)
     assert flatten_path_cycle_broadcast(g, (1, 0, 1, 0, 0)).values == (1, 0, 1, 0, 0)
+    # strength 5 on C4: both ring offsets land back on j itself
+    g = families.cycle(4)
+    assert flatten_path_cycle_broadcast(g, (0, 0, 1, 5)).values == (0, 1, 1, 1)
+    # strength 3 on C4: both offsets hit the same vertex, and the local
+    # rules end at a non-resolving vector, so the fallback answers
+    assert flatten_path_cycle_broadcast(g, (0, 0, 2, 3)).values == (1, 1, 0, 0)
+    # on a path the ring offset wraps past the end
+    g = families.path(4)
+    assert flatten_path_cycle_broadcast(g, (0, 0, 1, 4)).values == (1, 0, 1, 1)
+    assert flatten_path_cycle_broadcast(g, (0, 0, 2, 4)).values == (1, 1, 1, 1)
 
 
 def test_flatten_fallback_case():

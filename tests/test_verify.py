@@ -14,7 +14,19 @@ def test_all_suites_pass_at_small_scale():
     assert len(results) == len(SUITES)
     bad = [(r.suite, r.failures[:2]) for r in results if not r.ok]
     assert not bad, bad
-    assert all(r.checked > 0 for r in results)
+    # Every suite's instance count at this context: a suite that drops or
+    # gains an instance (an order filter off by one, a skipped source)
+    # fails here even when all its checks pass.
+    assert {r.suite: r.checked for r in results} == {
+        "chain": 17, "diam-collapse": 9, "complement-adim": 17,
+        "twin-distance": 17, "twin-support": 14, "truncation": 16,
+        "counting-witness": 16, "broadcast-monotone": 16, "bdim-sandwich": 9,
+        "deltaprime-ratio": 16, "order-bounds": 16, "characterizations": 17,
+        "cap-safety": 16, "enumeration": 17, "flatten": 18,
+        "family-formulas": 233, "tree-dim": 10, "tree-witness": 2,
+        "tree-bdim": 9, "vertex-deletion": 5, "edge-deletion": 5, "dimk": 16,
+        "sharp-families": 40,
+    }
 
 
 def test_suite_selection_and_unknown_id():
