@@ -7,8 +7,12 @@ finite distances always compare below the sentinel.
 
 A `DistanceMatrix` is the per-graph bundle: it keeps the graph it was
 built from and computes the graph's twins (`twin_partition`), metric
-profile (`metric_profile`) and tree profile on first use, once each.
-Pass it wherever a function takes `d`, and every caller shares them.
+profile (`metric_profile`) and tree profile on first use, once each,
+and each of its rows truncated at k + 1 once per k: a whole table
+(`truncated`) or one row (`cut_row`). Pass it wherever a function takes
+`d`, and every caller shares them: the solvers, `resolution`'s code
+tables and `revalidate` all read their truncated rows from it, and
+`truncated_row` is the one rule that makes them.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, repeat
+from operator import is_
 from typing import Optional, Sequence
 
 
@@ -26,6 +31,16 @@ class Graph:
 
     n: int
     adjacency: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.n, self.adjacency))
+
+    def __hash__(self) -> int:
+        # Graphs key the memo dicts of whole batteries: hash the adjacency
+        # once, outside the fields, so equality, repr and fields() stay
+        # those of the dataclass.
+        return self._hash
 
     @property
     def m(self) -> int:
@@ -71,10 +86,45 @@ def build_graph(n: int, edges: Sequence[tuple[int, int]]) -> Graph:
 class DistanceMatrix:
     """All-pairs shortest-path distances of `graph`; entry n marks an
     unreachable pair. The graph's twins, metric profile and tree profile
-    are computed on first use and kept."""
+    are computed on first use and kept, and so is each row truncated at
+    k + 1 (`truncated`, `cut_row`)."""
 
     dist: tuple[tuple[int, ...], ...]
     graph: Graph = field(compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        # The tables of `truncated` and `cut_row`, by k: kept beside the
+        # fields, as cached_property keeps its values, but made with the
+        # bundle, so a tiny solve's first read makes no descriptor call
+        # (which takes a lock before Python 3.12). A table is a tuple once
+        # every row is made, and a list with None for rows not yet made.
+        object.__setattr__(self, "_tables", {})
+
+    def truncated(self, k: int) -> tuple[tuple[int, ...], ...]:
+        """Every row truncated at k + 1, row z equal to
+        `truncated_row(dist[z], k, n)`: made on the first call for k, from
+        the rows `cut_row` made before it, and kept. A table whose rows
+        are all the distance rows themselves is `dist`, so k + 1 = n costs
+        no copy."""
+        table = self._tables.get(k)
+        if type(table) is not tuple:
+            dist = self.dist
+            table = _cut(table or repeat(None), dist, k, len(dist))
+            if all(map(is_, table, dist)):
+                table = dist
+            self._tables[k] = table
+        return table
+
+    def cut_row(self, z: int, k: int) -> tuple[int, ...]:
+        """Row z of `truncated(k)`, made alone on first use, so a check
+        that reads a few rows at many strengths makes no whole table."""
+        table = self._tables.get(k)
+        if table is None:
+            table = self._tables[k] = [None] * len(self.dist)
+        row = table[z]
+        if row is None:
+            row = table[z] = _cut((None,), (self.dist[z],), k, len(table))[0]
+        return row
 
     @cached_property
     def twins(self) -> TwinPartition:
@@ -162,6 +212,20 @@ def truncated_row(drow: Sequence[int], k: int, n: int) -> tuple[int, ...]:
     return tuple(cut if x >= n else x for x in drow)
 
 
+def _cut(made, drows, k: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """Each distance row of `drows` truncated at k + 1 (`truncated_row`),
+    or the row itself when the cut leaves it as it is; where `made`
+    already holds the truncated row, that one. Up to n the cut moves only
+    entries above k + 1; past n it moves the sentinel n up to k + 1, so a
+    row that holds the sentinel changes even though no entry exceeds the
+    cut."""
+    top = k + 1 if k < n else n - 1
+    return tuple(
+        row or (drow if max(drow) <= top else truncated_row(drow, k, n))
+        for row, drow in zip(made, drows)
+    )
+
+
 @dataclass(frozen=True)
 class TwinPartition:
     """All twin pairs plus a greedy partition into pairwise-twin groups."""
@@ -222,7 +286,11 @@ def metric_profile(g: Graph, d: Optional[DistanceMatrix] = None) -> MetricProfil
     n = g.n
     # g is connected iff vertex 0 reaches every vertex (n = 0 counts).
     connected = n == 0 or max(d.dist[0]) < n
-    eccs = tuple(max((x for x in row if x < n), default=0) for row in d.dist)
+    if connected:
+        # No row holds the sentinel, so each row's largest entry is finite.
+        eccs = tuple(map(max, d.dist))
+    else:
+        eccs = tuple(max((x for x in row if x < n), default=0) for row in d.dist)
     finite_diameter = max(eccs, default=0)
     return MetricProfile(
         finite_eccentricities=eccs,

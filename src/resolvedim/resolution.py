@@ -7,7 +7,10 @@ with unreachable pairs pinned at i + 1. A landmark set is a broadcast
 of one uniform strength, and every code is built in one place,
 `_code_table`: metric codes put each landmark at strength n - 1
 (truncating at n leaves a row, sentinel included, as it is) and
-adjacency codes at strength 1.
+adjacency codes at strength 1. The rows come from the bundle's
+truncated tables (`DistanceMatrix.cut_row`), so checks on one bundle
+truncate each (strength, landmark) row once between them and the
+solvers, and only the rows they read.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 from math import prod
 from typing import Iterable, Optional
 
-from .graphs import DistanceMatrix, Graph, all_pairs_distances, truncated_row
+from .graphs import DistanceMatrix, Graph, all_pairs_distances
 
 
 @dataclass(frozen=True)
@@ -71,10 +74,11 @@ def _code_table(
     g: Graph, d: Optional[DistanceMatrix], support: Iterable[tuple[int, int]]
 ) -> list[tuple[int, ...]]:
     """Return every vertex's code under the (landmark, strength) pairs:
-    one entry per pair, the landmark's row truncated at its strength + 1."""
+    one entry per pair, the landmark's row truncated at its strength + 1,
+    read from the bundle's table for that strength (`cut_row`)."""
     if d is None:
         d = all_pairs_distances(g)
-    return list(zip(*(truncated_row(d.dist[z], x, g.n) for z, x in support)))
+    return list(zip(*(d.cut_row(z, x) for z, x in support)))
 
 
 def broadcast_codes(g: Graph, d: Optional[DistanceMatrix], f) -> list[tuple[int, ...]]:

@@ -9,7 +9,9 @@ at k + 1 for dim_k, at 2 for adim (k = 1), and dim is the k = n - 1 case,
 whose truncation at n leaves every row as it is. bdim lets strengths
 range up to `broadcast_value_caps`. `revalidate` checks every witness the
 same way, as a strength vector: n - 1, 1 or k on each landmark of a set,
-or the broadcast itself.
+or the broadcast itself. Every solve and check reads its rows from the
+distance bundle's table for the strength (`DistanceMatrix.truncated`),
+so the solves and checks that share a bundle truncate each row once.
 
 One search kernel, `_search`, serves them all. It walks the vectors of
 one cost at a time, depth first, in lexicographic order: sorted-subset
@@ -115,7 +117,7 @@ from math import comb, inf
 from operator import add, mul, ne, sub
 from typing import Optional, Sequence, Union
 
-from .graphs import DistanceMatrix, Graph, all_pairs_distances, build_graph, truncated_row
+from .graphs import DistanceMatrix, Graph, all_pairs_distances, build_graph
 from .resolution import Broadcast, counting_floor, is_resolving_broadcast
 
 
@@ -580,7 +582,7 @@ def _solve_truncated(g: Graph, k: int, d: Optional[DistanceMatrix], kind: str) -
         d = all_pairs_distances(g)
     # Truncating at k + 1 >= n only moves the sentinel n to k + 1, still
     # above every distance, so the raw rows give the same code classes.
-    rows = d.dist if k + 1 >= n else [truncated_row(row, k, n) for row in d.dist]
+    rows = d.dist if k + 1 >= n else d.truncated(k)
     twins = d.twins
     lb = max(1, twins.forced_minimum())
     size, examined, checked, built, found = _search((None, rows), (1,) * n, lb, twins.groups, False)
@@ -709,7 +711,7 @@ def _broadcast_search(g: Graph, d: Optional[DistanceMatrix], collect: bool):
     lb = max(1, -(-d.profile.finite_diameter // 3), twins.forced_minimum(), counting_floor(n, 2))
     # rows[i][z] = code row of z at strength i (None above z's cap)
     rows = [None] + [
-        [truncated_row(drow, i, n) if i <= cap else None for drow, cap in zip(d.dist, caps)]
+        [row if i <= cap else None for row, cap in zip(d.truncated(i), caps)]
         for i in range(1, max(caps) + 1)
     ]
     return (lb, *_search(rows, caps, lb, twins.groups, True, collect))

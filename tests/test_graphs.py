@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError, fields
 from itertools import combinations
 
 import pytest
 
 from resolvedim import (
     all_pairs_distances,
+    broadcast_codes,
     build_graph,
     cartesian_product,
     clique_number,
@@ -49,6 +51,23 @@ def test_build_graph_dedups_edges():
     assert g.m == 1
 
 
+def test_equal_graphs_hash_equal():
+    # Separately built equal graphs share a hash and find each other as
+    # dict keys; the cached hash is no field, so equality, repr, fields()
+    # and immutability are the dataclass's own.
+    g = build_graph(3, [(0, 1), (1, 2)])
+    h = build_graph(3, [(2, 1), (1, 0)])
+    assert g is not h and g == h
+    assert hash(g) == hash(h) == hash((3, ((1,), (0, 2), (1,))))
+    assert {g: "path"}[h] == "path"
+    assert {g, h, families.path(3)} == {h}
+    assert g != build_graph(3, [(0, 1)])
+    assert [f.name for f in fields(g)] == ["n", "adjacency"]
+    assert repr(g) == "Graph(n=3, adjacency=((1,), (0, 2), (1,)))"
+    with pytest.raises(FrozenInstanceError):
+        g.n = 4
+
+
 def test_distances_path():
     g = families.path(5)
     d = all_pairs_distances(g)
@@ -72,6 +91,75 @@ def test_truncated_distance_values():
     assert truncated_row(row, 3, g.n) == (0, 1, 2, 3, 4)
     # k + 1 above n: the sentinel n itself moves up to k + 1
     assert truncated_row(row, 5, g.n) == (0, 1, 2, 3, 6)
+
+
+def _truncation_cases():
+    """Every labelled graph of order <= 5 and seeded sparse graphs of order
+    9, most of them disconnected."""
+    yield from labelled_graphs(5)
+    for seed in range(30):
+        yield families.random_graph(9, 0.2, seed)
+
+
+def test_truncated_tables_match_truncated_row():
+    # d.truncated(k) is truncated_row row by row for every k in 1..n + 2,
+    # is made once per k, and keeps each row the cut leaves unchanged as
+    # the distance row itself (the whole table as d.dist when all are).
+    # d.cut_row(z, k) reads the same table: rows it made first are the
+    # table's rows, and after the table it returns the table's row.
+    tables = pinned = 0
+    for g in _truncation_cases():
+        n = g.n
+        d = all_pairs_distances(g)
+        for k in range(1, n + 3):
+            early = {z: d.cut_row(z, k) for z in range(1, n, 2)}
+            table = d.truncated(k)
+            assert d.truncated(k) is table
+            assert type(table) is tuple and len(table) == n
+            for z, row in enumerate(d.dist):
+                want = truncated_row(row, k, n)
+                assert table[z] == want, (g.edges(), k, z)
+                if want == row:
+                    assert table[z] is row, (g.edges(), k, z)
+                assert d.cut_row(z, k) is table[z] is early.get(z, table[z])
+            if k + 1 == n or all(map(tuple.__eq__, table, d.dist)):
+                assert table is d.dist, (g.edges(), k)
+            # Past n the sentinel moves up to k + 1: a row holding it is
+            # not its own truncation although no entry exceeds the cut.
+            if k + 1 > n and not d.profile.connected:
+                assert table is not d.dist
+                pinned += 1
+            tables += 1
+    assert tables == 7_933
+    assert pinned == 1_050
+
+
+def test_checks_truncate_only_the_rows_they_read(monkeypatch):
+    # A check reads one row per support vertex, each at its own strength,
+    # and truncates those rows alone, not a whole table per strength.
+    from resolvedim import graphs
+
+    made = []
+    truncate = graphs.truncated_row
+    monkeypatch.setattr(graphs, "truncated_row", lambda drow, k, n: made.append(k) or truncate(drow, k, n))
+    g = families.path(7)
+    d = all_pairs_distances(g)
+    f = (1, 2, 3, 4, 5, 6, 7)
+    assert broadcast_codes(g, d, f) == list(zip(*(truncate(d.dist[z], f[z], 7) for z in range(7))))
+    # Row z reaches max(z, 6 - z), so only rows 0 and 1 exceed z + 2.
+    assert made == [1, 2]
+    assert [d.cut_row(z, f[z]) is d.dist[z] for z in range(7)] == [False, False] + [True] * 5
+
+
+def test_metric_profile_eccentricities_by_definition():
+    # The connected shortcut and the disconnected filter both give the
+    # largest finite distance in each row.
+    for g in _truncation_cases():
+        d = all_pairs_distances(g)
+        eccs = tuple(max(x for x in row if x < g.n) for row in d.dist)
+        prof = metric_profile(g, d)
+        assert prof.finite_eccentricities == eccs
+        assert prof.connected == all(max(row) < g.n for row in d.dist)
 
 
 def test_twin_partition_star_leaves():

@@ -214,6 +214,50 @@ def test_bdim_builds_one_metric_profile(monkeypatch):
         assert calls == [g.n]
 
 
+def test_solves_and_checks_share_truncated_rows(monkeypatch):
+    from collections import Counter
+
+    from resolvedim import graphs, resolution, solvers
+
+    made = Counter()
+    truncate = graphs.truncated_row
+
+    def counted(drow, k, n):
+        made[k, next(z for z, row in enumerate(d.dist) if row is drow)] += 1
+        return truncate(drow, k, n)
+
+    # The bundle's `truncated` makes its rows through the graphs binding,
+    # and the solvers and resolution checks must reach them only through
+    # it: a row they truncate themselves is counted too, and truncated
+    # twice.
+    for module in (graphs, resolution, solvers):
+        monkeypatch.setattr(module, "truncated_row", counted, raising=False)
+    cases = (
+        families.cycle(8),
+        families.path(7),
+        families.petersen(),
+        families.spider(3, 2),
+        disjoint_union(families.path(3), families.cycle(4)),
+        families.random_graph(9, 0.2, 1),
+    )
+    rows = 0
+    for g in cases:
+        made.clear()
+        d = all_pairs_distances(g)
+        # A check before the solves makes rows of the strength-1 table
+        # alone; adim's table must take them, not make them again.
+        is_resolving_broadcast(g, (1,) * g.n, d)
+        results = [solve_adim(g, d), solve_dim(g, d), solve_bdim(g, d)]
+        dim_1 = solve_dim_k(g, 1, d)
+        enumerate_min_broadcasts(g, d)
+        assert all(revalidate(g, res, d=d) for res in results)
+        assert revalidate(g, dim_1, k=1, d=d)
+        assert max(made.values(), default=1) == 1, (g.edges(), made.most_common(3))
+        rows += len(made)
+    # The Petersen graph's rows all lie within 2, so it truncates none.
+    assert rows > 0
+
+
 def test_enumerate_path2_and_star():
     res = enumerate_min_broadcasts(families.path(2))
     assert res.optimal_cost == 1
