@@ -114,7 +114,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate, combinations, count, repeat
 from math import comb, inf
-from operator import add, mul, ne, sub
+from operator import add, mul, sub
 from typing import Optional, Sequence, Union
 
 from .graphs import DistanceMatrix, Graph, all_pairs_distances, build_graph
@@ -614,7 +614,9 @@ def _level_proof(rows, n: int, lb: int) -> Optional[int]:
     return next((size for size in range(lb + 1, n) if comb(n, size) > most), None)
 
 
-_BITS = bytes.maketrans(b"\x00\x01", b"01")
+# The translation that spells a byte as a binary digit: 0 as "0", any
+# other value as "1".
+_DIGITS = b"0" + b"1" * 255
 
 
 def _pair_tables(rows) -> tuple[list[int], list[int]]:
@@ -623,21 +625,40 @@ def _pair_tables(rows) -> tuple[list[int], list[int]]:
     with rows[z][x] != rows[z][y] for the p-th pair x < y, and covers[z]
     the bitmask of the pairs z separates, bit p for the p-th pair.
 
-    The pairs are numbered by ascending count of separators, ties in
-    `combinations` order, so the lowest bit of any mask of pairs is the
-    pair in it with the fewest separators. rows[z][x] = rows[x][z], so
-    pair (x, y) compares rows x and y entry by entry; its comparison,
-    spelled out as a binary numeral from landmark n - 1 down and parsed by
-    `int`, is its entry of seps, and the columns of those numerals, from
-    the last pair up, are the numerals of the covers.
+    rows[z][x] = rows[x][z], so pair (x, y) compares rows x and y entry by
+    entry. Each row x is packed once into one int, packed[x], whose field
+    z holds rows[x][z]. A field is one byte up to order 255 and two bytes
+    above it, where the sentinel entry n no longer fits in one. A field of
+    packed[x] ^ packed[y] is nonzero exactly where the two rows differ.
+    Two-byte fields are first folded onto their low bytes (`| >> 8`), and
+    the high bytes are skipped. Spelled from field n - 1 down, one byte
+    per landmark, and translated to binary digits (`_DIGITS`), the XOR is
+    the pair's numeral: `int` parses it into the pair's entry of seps.
+
+    The pairs are numbered by ascending count of separators, so the lowest
+    bit of any mask of pairs is the pair in it with the fewest separators.
+    The order comes from a sort of the pair indices on their digit counts.
+    That sort must be stable: ties keep `combinations` order, which makes
+    the tables a function of the rows alone, and so the order in which
+    the branch and bound tries separators. The numerals, joined
+    from the last pair up, are read down their columns: column j, every
+    n-th digit from j, is the numeral of covers[n - 1 - j].
     """
-    back = [row[::-1] for row in rows]
-    bits = sorted(
-        (bytes(map(ne, back[x], back[y])).translate(_BITS) for x, y in combinations(range(len(rows)), 2)),
-        key=lambda sep: sep.count(b"1"),
-    )
-    covers = [int(bytes(col), 2) for col in zip(*reversed(bits))]
-    return [int(sep, 2) for sep in bits], covers[::-1]
+    n = len(rows)
+    if n < 256:
+        packed = [int.from_bytes(bytes(row), "little") for row in rows]
+        spell = [(packed[x] ^ packed[y]).to_bytes(n, "big") for x, y in combinations(range(n), 2)]
+    else:
+        packed = [int.from_bytes(b"".join(e.to_bytes(2, "little") for e in row), "little") for row in rows]
+        spell = [
+            ((diff := packed[x] ^ packed[y]) | diff >> 8).to_bytes(2 * n, "big")[1::2]
+            for x, y in combinations(range(n), 2)
+        ]
+    bits = [sep.translate(_DIGITS) for sep in spell]
+    counts = list(map(bytes.count, bits, repeat(b"1")))
+    bits = list(map(bits.__getitem__, sorted(range(len(bits)), key=counts.__getitem__)))
+    blob = b"".join(reversed(bits))
+    return [int(sep, 2) for sep in bits], [int(blob[j::n], 2) for j in range(n - 1, -1, -1)]
 
 
 def _separable(seps: list[int], covers: list[int], budget: int, open_: int, avail: int) -> bool:

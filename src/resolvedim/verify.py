@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from . import families, formulas
@@ -181,10 +181,14 @@ class VerifyContext:
 
 
 def naive_min_broadcasts(g: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """Second-route enumerator: scan every value vector of each cost in
-    plain counting order and keep the resolving ones, straight from the
-    definitions, with no caps and no pruning."""
+    """Second-route enumerator: scan every value vector of each cost, from
+    cost 1 up, in plain counting order and keep the resolving ones,
+    straight from the definitions, with no caps and no pruning. The
+    vectors of one cost are made directly, not filtered from all vectors
+    with entries up to it."""
     n = g.n
+    if n == 0:
+        raise ValueError("graph has no vertices")
     inf = float("inf")
     dist: list[list[float]] = []
     for s in range(n):
@@ -201,22 +205,20 @@ def naive_min_broadcasts(g: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
                     queue.append(w)
         dist.append(row)
 
-    def resolves(vec: tuple[int, ...]) -> bool:
-        supp = [z for z in range(n) if vec[z] > 0]
-        if not supp:
-            return False
-        seen = set()
-        for v in range(n):
-            seen.add(tuple(min(dist[z][v], vec[z] + 1) for z in supp))
-        return len(seen) == n
-
     s = 1
     while True:
-        found = [
-            vec
-            for vec in product(range(s + 1), repeat=n)
-            if sum(vec) == s and resolves(vec)
-        ]
+        # cut[i][z][v] = min(dist[z][v], i + 1): the entry of v's code from
+        # landmark z at strength i, for each strength up to the cost s.
+        cut = [[tuple(min(e, i + 1) for e in row) for row in dist] for i in range(s + 1)]
+        # The vectors of cost s in counting order: n - 1 bars among
+        # s + n - 1 slots, in `combinations` order, vec[i] the number of
+        # slots between bar i - 1 and bar i.
+        found = []
+        for bars in combinations(range(s + n - 1), n - 1):
+            vec = tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, s + n - 1)))
+            codes = zip(*(cut[v][z] for z, v in enumerate(vec) if v))
+            if len(set(codes)) == n:
+                found.append(vec)
         if found:
             return s, tuple(found)
         s += 1

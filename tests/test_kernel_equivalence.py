@@ -15,7 +15,7 @@ from collections import Counter
 from functools import reduce
 from itertools import combinations, product
 from math import comb
-from operator import or_
+from operator import ne, or_
 
 import pytest
 import seed_oracle
@@ -455,6 +455,59 @@ def test_pair_tables_match_their_definition():
             seps = [sum(1 << z for z in range(n) if split[z]) for split in splits]
             covers = [sum(1 << p for p, split in enumerate(splits) if split[z]) for z in range(n)]
             assert _pair_tables(rows) == (seps, covers), f"k={k} n={n} edges={g.edges()}"
+
+
+def _reference_pair_tables(rows):
+    """The pair tables as they were built before rows were packed: each
+    pair's comparison spelled out entry by entry, sorted on a key per pair
+    and transposed with zip."""
+    bits_of = bytes.maketrans(b"\x00\x01", b"01")
+    back = [row[::-1] for row in rows]
+    bits = sorted(
+        (bytes(map(ne, back[x], back[y])).translate(bits_of) for x, y in combinations(range(len(rows)), 2)),
+        key=lambda sep: sep.count(b"1"),
+    )
+    covers = [int(bytes(col), 2) for col in zip(*reversed(bits))]
+    return [int(sep, 2) for sep in bits], covers[::-1]
+
+
+def test_pair_tables_match_the_reference_where_solves_build_them():
+    # The solver builds tables from order 12 on: G(n, p) and random trees
+    # of orders 12 to 30, each at k = 1, 2 and n - 1, give the reference's
+    # tables, pair order and all.
+    rng = random.Random(19960912)
+    for n in range(12, 31):
+        gnp = families.random_graph(n, rng.uniform(0.1, 0.6), rng.randrange(2**31))
+        for g in (gnp, families.random_tree(n, rng.randrange(2**31))):
+            d = all_pairs_distances(g)
+            for k in (1, 2, n - 1):
+                rows = [truncated_row(row, k, n) for row in d.dist]
+                assert _pair_tables(rows) == _reference_pair_tables(rows), f"k={k} n={n} edges={g.edges()}"
+
+
+def test_pair_tables_with_two_byte_entries():
+    # From order 256 on the sentinel n needs two bytes. P255 plus an
+    # isolated vertex has entries 0 to 254 and 256: its tables match the
+    # reference's, and on a seeded sample of pairs they match the
+    # definition at every landmark.
+    n = 256
+    rows = all_pairs_distances(build_graph(n, [(v, v + 1) for v in range(254)])).dist
+    assert max(map(max, rows)) == n
+    seps, covers = _pair_tables(rows)
+    assert (seps, covers) == _reference_pair_tables(rows)
+    cols = list(zip(*rows))
+    pairs = list(combinations(range(n), 2))
+    pairs.sort(key=lambda pair: sum(map(ne, cols[pair[0]], cols[pair[1]])))
+    # Every landmark separates the isolated vertex from any other, so its
+    # n - 1 pairs come last; they compare entry 256 with 0 at one landmark,
+    # where only the high bytes differ, and the sample takes 50 of them.
+    assert all(y == n - 1 for _, y in pairs[1 - n:])
+    rng = random.Random(256)
+    for p in rng.sample(range(len(pairs) + 1 - n), 150) + rng.sample(range(len(pairs) + 1 - n, len(pairs)), 50):
+        x, y = pairs[p]
+        split = [rows[z][x] != rows[z][y] for z in range(n)]
+        assert seps[p] == sum(1 << z for z in range(n) if split[z]), (x, y)
+        assert [covers[z] >> p & 1 for z in range(n)] == split, (x, y)
 
 
 def test_plain_set_solves_build_no_pair_table(monkeypatch):

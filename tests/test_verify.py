@@ -1,10 +1,13 @@
 """The verification harness itself: suite registry, context caching,
 and the definition-direct enumerator it cross-checks against."""
 
+import random
+from itertools import product
+
 import pytest
 
-from resolvedim import families
-from resolvedim.verify import SUITES, VerifyContext, naive_min_broadcasts, run_suites
+from resolvedim import build_graph, families
+from resolvedim.verify import SUITES, VerifyContext, labelled_graphs, naive_min_broadcasts, run_suites
 
 
 def test_all_suites_pass_at_small_scale():
@@ -48,6 +51,66 @@ def test_naive_enumerator_spot_values():
     assert cost == 2
     assert len(vectors) == 4
     assert all(sum(v) == 2 for v in vectors)
+    with pytest.raises(ValueError):
+        naive_min_broadcasts(build_graph(0, []))
+
+
+def _product_filter_min_broadcasts(g):
+    """The naive enumerator as it was: filter every vector with entries
+    up to s for cost s, and compare the codes of each by the definition."""
+    n = g.n
+    inf = float("inf")
+    dist = []
+    for s in range(n):
+        row = [inf] * n
+        row[s] = 0
+        queue = [s]
+        for u in queue:
+            for w in g.adjacency[u]:
+                if row[w] == inf:
+                    row[w] = row[u] + 1
+                    queue.append(w)
+        dist.append(row)
+
+    def resolves(vec):
+        supp = [z for z in range(n) if vec[z] > 0]
+        return bool(supp) and len({tuple(min(dist[z][v], vec[z] + 1) for z in supp) for v in range(n)}) == n
+
+    s = 1
+    while True:
+        found = [vec for vec in product(range(s + 1), repeat=n) if sum(vec) == s and resolves(vec)]
+        if found:
+            return s, tuple(found)
+        s += 1
+
+
+def test_naive_enumerator_matches_the_product_filter():
+    # The vectors of each cost, made directly, are the ones the product
+    # filter kept, in the same order: every labelled graph of order 1 to 4
+    # and seeded graphs of order 6.
+    rng = random.Random(6)
+    graphs = [g for g in labelled_graphs(4) if g.n]
+    graphs += [families.random_graph(6, p, rng.randrange(2**31)) for p in (0.2, 0.4, 0.6, 0.8) for _ in range(2)]
+    for g in graphs:
+        assert naive_min_broadcasts(g) == _product_filter_min_broadcasts(g), g.edges()
+
+
+def test_naive_enumerator_shares_no_distance_code(monkeypatch):
+    # The second route keeps its own BFS and truncation: it still runs with
+    # the library's distances and truncated rows made to raise.
+    import resolvedim
+    from resolvedim.graphs import DistanceMatrix
+
+    def refuse(*args):
+        raise AssertionError("library distance code called")
+
+    for modname in ("graphs", "verify"):
+        module = getattr(resolvedim, modname)
+        for name in ("all_pairs_distances", "truncated_row"):
+            monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(DistanceMatrix, "truncated", refuse)
+    monkeypatch.setattr(DistanceMatrix, "cut_row", refuse)
+    assert naive_min_broadcasts(families.cycle(5)) == _product_filter_min_broadcasts(families.cycle(5))
 
 
 def test_context_caches_solver_results():
