@@ -93,12 +93,14 @@ class DistanceMatrix:
     graph: Graph = field(compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        # The tables of `truncated` and `cut_row`, by k: kept beside the
-        # fields, as cached_property keeps its values, but made with the
-        # bundle, so a tiny solve's first read makes no descriptor call
-        # (which takes a lock before Python 3.12). A table is a tuple once
-        # every row is made, and a list with None for rows not yet made.
+        # The tables of `truncated` and `cut_row`, by k, and the values of
+        # `twins`, `profile` and `tree`, by name: kept beside the fields
+        # in dicts made with the bundle, so a tiny solve's first read takes
+        # no lock, as a cached_property's does before Python 3.12. A table
+        # is a tuple once every row is made, and a list with None for rows
+        # not yet made.
         object.__setattr__(self, "_tables", {})
+        object.__setattr__(self, "_made", {})
 
     def truncated(self, k: int) -> tuple[tuple[int, ...], ...]:
         """Every row truncated at k + 1, row z equal to
@@ -126,21 +128,35 @@ class DistanceMatrix:
             row = table[z] = _cut((None,), (self.dist[z],), k, len(table))[0]
         return row
 
-    @cached_property
+    @property
     def twins(self) -> TwinPartition:
-        """The graph's twin pairs and twin groups."""
-        return twin_partition(self.graph)
+        """The graph's twin pairs and twin groups (`twin_partition`)."""
+        twins = self._made.get("twins")
+        if twins is None:
+            twins = self._made["twins"] = twin_partition(self.graph)
+        return twins
 
-    @cached_property
+    @property
     def profile(self) -> MetricProfile:
-        """The graph's eccentricities, diameter and connectivity."""
-        return metric_profile(self.graph, self)
+        """The graph's eccentricities, diameter and connectivity
+        (`metric_profile`)."""
+        prof = self._made.get("profile")
+        if prof is None:
+            prof = self._made["profile"] = metric_profile(self.graph, self)
+        return prof
 
-    @cached_property
+    @property
     def tree(self) -> TreeProfile:
         """Leaves, major vertices, exterior majors with their legs, and the
         spider descriptor (present iff exactly one major vertex exists);
         is_tree=False unless the graph is a tree."""
+        tree = self._made.get("tree")
+        if tree is None:
+            tree = self._made["tree"] = self._tree_profile()
+        return tree
+
+    def _tree_profile(self) -> TreeProfile:
+        """Make the value of `tree`."""
         g = self.graph
         n = g.n
         if g.m != n - 1 or not self.profile.connected:

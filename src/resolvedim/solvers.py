@@ -62,10 +62,11 @@ mode, which builds no code, checks no leaf and memoises each count.
 says how many had their codes compared.
 
 The bound's tables are made once per solve, when the scan has built as
-many nodes as there are strength rows (`_bound_gate`), and never when
-some strength-1 row adds at least (n - 2)/2 classes (`_counting_idle`):
-there a count prices out almost nothing, and dim on random graphs would
-pay for tables it does not use.
+many nodes as there are strength rows (`_bound_gate`), or for bdim from
+order 11 on before its first level, and never when some strength-1 row
+adds at least (n - 2)/2 classes (`_counting_idle`): there a count prices
+out almost nothing, and dim on random graphs would pay for tables it
+does not use.
 
 For sets, the exponential part of a solve is mostly the proof that no
 smaller set resolves, not the search for the witness. A set resolves
@@ -92,6 +93,23 @@ miss defers the walk by one level. The walk examines the same candidates
 as the scan, so the counts stay the same; `candidates_checked` leaves out
 the proved subtrees and levels too.
 
+bdim is the weighted case of the same hitting set: z at strength i
+separates x and y exactly when their entries in row (z, i) differ, and
+what z separates only grows with i, up to its cap. `_pair_tables` builds
+one covers list per strength under one numbering of the pairs, and
+`_weighted_separable` decides whether strengths of total cost at most L
+separate every pair: it branches on the lowest open pair and raises each
+of its separators to the strength from which it separates that pair. At
+n >= 11 each bdim level whose class-count slack (`_class_slack`: how
+many classes the best root child could add beyond the n - 1 the root
+misses) is at least n/2 (`_proof_first`) goes to that proof first, and
+a level it rules out is counted whole by the walk in counting mode and
+never scanned. The level it does not rule out, the value, is scanned as
+before, so only `candidates_checked` and `nodes_built` change. Where the
+slack is smaller, as on every level of cycles and paths measured, the
+class-count bound already cuts the scan: proving every level made C20,
+P20 and C22 2 to 4.4 times slower.
+
 The split cut also works by pairs, inside the code scan, for all four
 parameters. Below a node whose last support vertex is z, with cost
 r >= 2 left, every pair of vertices whose codes are still equal must be
@@ -104,7 +122,9 @@ count cut. The test starts once the scan has built the codes of n**2
 nodes per strength the level reads, n times as many codes as those class
 lists have entries, so a tiny solve builds none. It counts nodes built,
 not candidates checked, because the class-count bound leaves few leaves
-to check. Only the set walk over the pair tables reads pair tables.
+to check; and it opens at once on the levels after one that bdim's
+proof above ruled out, which built no node but is no tiny solve. Pair
+tables are read by the set walk and by bdim's proof of its levels.
 
 Order-1 graphs take value 1 by convention for all parameters.
 """
@@ -134,11 +154,12 @@ class SolverResult:
     # level walked over the pair tables by the pairs their last landmark
     # separates. The rest of those examined were counted at leaves or in
     # subtrees that the class-count bound, the split cut or the
-    # pair-separation branch and bound skipped, or in levels it showed
-    # empty.
+    # pair-separation branch and bound skipped, or in levels that branch
+    # and bound, or for bdim its weighted sibling over the covers per
+    # strength, showed empty.
     candidates_checked: int
     # The nodes of the code scan whose codes were built; the pair-table
-    # walk builds none.
+    # walk and a level proved empty build none.
     nodes_built: int = 0
 
 
@@ -237,6 +258,27 @@ def _twin_debt(masks: Sequence[int], free: int, n: int) -> tuple[int, int, int]:
     return hi, owed, owing
 
 
+def _class_slack(gain, best, caps: Sequence[int], cost: int) -> int:
+    """How far the class-count bound at the root of level `cost` is from
+    cutting anything: the most classes a root child (z, v) and the cost
+    left above it can add, gain[v][z] + best[cost - v][z], less the n - 1
+    the root's codes miss. An idle bound (gain None) counts as n."""
+    n = len(caps)
+    if gain is None:
+        return n
+    return max(gain[v][z] + best[cost - v][z] for z in range(n) for v in range(1, min(caps[z], cost) + 1)) - (n - 1)
+
+
+def _proof_first(n: int, slack: int) -> bool:
+    """Whether bdim proves a level by pair covers (`_weighted_separable`)
+    before it scans it: when the class-count slack is at least n/2. A
+    tighter bound cuts the scan of the level itself, as on cycles and
+    paths of orders 11 to 24, whose slack stays at 7 or less, below n/2,
+    on every level; proving all their levels made C20, P20 and C22 2 to
+    4.4 times slower."""
+    return 2 * slack >= n
+
+
 def _split_classes(rows, caps: Sequence[int], base: int, r: int) -> list[list[int]]:
     """Return classes[z][x]: the lowest vertex that no landmark w > z, at
     strength min(r, caps[w]), splits from x, for r < len(rows). Codes that
@@ -253,7 +295,7 @@ def _split_classes(rows, caps: Sequence[int], base: int, r: int) -> list[list[in
 
 
 def _search(
-    rows, caps: Sequence[int], lb: int, groups, broadcast: bool, collect: bool = False
+    rows, caps: Sequence[int], lb: int, groups, tables=None, collect: bool = False
 ) -> tuple[Optional[int], int, int, int, list[tuple[tuple[int, int], ...]]]:
     """Scan strength vectors level by level, each cost from lb up (below n
     for a set) and lexicographic order within a cost, for ones whose codes
@@ -262,7 +304,11 @@ def _search(
     tables (`descend`) instead of by codes, unless the scan of the level
     before it checked a leaf within 2 classes of n: a near miss says the
     value is likely this level, where the tables would be waste, so it is
-    scanned too.
+    scanned too. A broadcast passes `tables`, its whole table of rows at
+    each strength 1..max(caps), of which `rows` keeps those within the
+    caps; from order 11 on, a level that `_proof_first` picks by its
+    class-count slack and that `_weighted_separable` rules out over the
+    covers per strength of those tables is counted, not scanned.
 
     A vector is built one support vertex at a time: each step picks the
     next vertex z above the previous one and a strength 1 <= v <= caps[z],
@@ -297,6 +343,7 @@ def _search(
     """
     n = len(caps)
     base = n + 1
+    broadcast = tables is not None
     need = n if broadcast else 0  # a set's counting condition always holds
     # after[z] = sum(caps[z + 1:]), the most cost the vertices above z take.
     after = list(accumulate(caps[:0:-1], initial=0))[::-1]
@@ -316,7 +363,10 @@ def _search(
     # `_counting_idle`. Until then they are None, and every node misses 0
     # classes as far as the walk knows, so it reads neither.
     gain = above = best = None
-    bound_gate = _bound_gate(caps)
+    # bdim from order 11 on makes them before its first level, where each
+    # level's class-count slack decides whether the cover proof runs first.
+    proving = broadcast and n >= 11
+    bound_gate = 0 if proving else _bound_gate(caps)
     level = 0
     # The cost table: ways[i][r] of `_cost_ways` for r <= level and the
     # vertices i above the highest twin-group member, made on the solve's
@@ -470,9 +520,9 @@ def _search(
             memo[key] = total
         return total
 
+    # The pair tables, made on first use.
+    seps = covers = None
     if proof is not None:
-        # The pair tables, made on first use.
-        seps = covers = None
         top = 1 << n
 
         def descend(open_: int, last: int, rem: int, free: int) -> int:
@@ -521,6 +571,7 @@ def _search(
 
     start = [0] * n
     examined = 0
+    ruled_out = False  # some level was proved empty by `_weighted_separable`
     for cost in levels:
         # A node reads best[r] for the cost r left below it, r < cost, and
         # the walk reads ways[i][r] for r <= cost.
@@ -540,10 +591,19 @@ def _search(
             make_bound()
         elif best is not None:
             _grow_class_bound(best, above, level)
+        if proving and _proof_first(n, _class_slack(gain, best, caps, cost)):
+            if seps is None:
+                seps, *covers = _pair_tables(*tables)
+            if not _weighted_separable(seps, covers, caps, cost, (1 << len(seps)) - 1):
+                examined += extend(None, -1, cost, 0, 1, members, 0)
+                ruled_out = True
+                continue
         # The split cut reads strengths 1..cost - 1, which take
         # min(cost - 1, max(caps)) class lists of n * n entries; it
-        # waits for n * n nodes per strength, n codes each.
-        gate = n * n * min(cost - 1, strongest)
+        # waits for n * n nodes per strength, n codes each, unless a
+        # level was proved empty: that solve is past the tiny ones the
+        # gate spares, though the proved level built no node.
+        gate = 0 if ruled_out else n * n * min(cost - 1, strongest)
         examined += extend(start, -1, cost, 0, 1, members, 0 if best is None else n - 1)
         if found:
             return cost, examined, checked, built, found
@@ -585,7 +645,7 @@ def _solve_truncated(g: Graph, k: int, d: Optional[DistanceMatrix], kind: str) -
     rows = d.dist if k + 1 >= n else d.truncated(k)
     twins = d.twins
     lb = max(1, twins.forced_minimum())
-    size, examined, checked, built, found = _search((None, rows), (1,) * n, lb, twins.groups, False)
+    size, examined, checked, built, found = _search((None, rows), (1,) * n, lb, twins.groups)
     if size is None:
         raise RuntimeError("subset search exhausted without a resolving set")
     return SolverResult(kind, size, next(zip(*found[0])), examined, lb, checked, built)
@@ -619,11 +679,18 @@ def _level_proof(rows, n: int, lb: int) -> Optional[int]:
 _DIGITS = b"0" + b"1" * 255
 
 
-def _pair_tables(rows) -> tuple[list[int], list[int]]:
-    """Return (seps, covers), the pair-separation tables of the symmetric
-    rows of n >= 2 landmarks: seps[p] is the bitmask of the landmarks z
-    with rows[z][x] != rows[z][y] for the p-th pair x < y, and covers[z]
-    the bitmask of the pairs z separates, bit p for the p-th pair.
+def _pair_tables(*tables) -> tuple[list[int], ...]:
+    """Return (seps, covers_1, ..., covers_T), the pair-separation tables
+    of the symmetric tables of rows `tables`, T >= 1 of them, each of
+    n >= 2 landmarks, all under one numbering of the pairs. covers_i[z] is
+    the bitmask of the pairs that tables[i - 1][z] separates, bit p for the
+    p-th pair x < y, separated where rows[z][x] != rows[z][y]; seps[p] is
+    the bitmask of the landmarks that the last table's rows separate the
+    p-th pair by. A set solve has one table, (seps, covers). bdim has one
+    per strength, `DistanceMatrix.truncated(i)`: what z separates grows
+    with i up to z's cap and no further, so the last table's seps hold
+    every landmark that separates a pair at some strength within its cap,
+    and no row above a cap is needed.
 
     rows[z][x] = rows[x][z], so pair (x, y) compares rows x and y entry by
     entry. Each row x is packed once into one int, packed[x], whose field
@@ -635,30 +702,36 @@ def _pair_tables(rows) -> tuple[list[int], list[int]]:
     per landmark, and translated to binary digits (`_DIGITS`), the XOR is
     the pair's numeral: `int` parses it into the pair's entry of seps.
 
-    The pairs are numbered by ascending count of separators, so the lowest
-    bit of any mask of pairs is the pair in it with the fewest separators.
-    The order comes from a sort of the pair indices on their digit counts.
-    That sort must be stable: ties keep `combinations` order, which makes
-    the tables a function of the rows alone, and so the order in which
-    the branch and bound tries separators. The numerals, joined
-    from the last pair up, are read down their columns: column j, every
-    n-th digit from j, is the numeral of covers[n - 1 - j].
+    The pairs are numbered by ascending count of separators in the last
+    table, so the lowest bit of any mask of pairs is the pair in it with
+    the fewest separators at the last strength. The order comes from a
+    sort of the pair indices on their digit counts. That sort must be
+    stable: ties keep `combinations` order, which makes the tables a
+    function of the rows alone, and so the order in which the branch and
+    bound tries separators. Each table's numerals, joined from the last
+    pair up, are read down their columns: column j, every n-th digit from
+    j, is the numeral of covers[n - 1 - j].
     """
-    n = len(rows)
-    if n < 256:
-        packed = [int.from_bytes(bytes(row), "little") for row in rows]
-        spell = [(packed[x] ^ packed[y]).to_bytes(n, "big") for x, y in combinations(range(n), 2)]
-    else:
-        packed = [int.from_bytes(b"".join(e.to_bytes(2, "little") for e in row), "little") for row in rows]
-        spell = [
-            ((diff := packed[x] ^ packed[y]) | diff >> 8).to_bytes(2 * n, "big")[1::2]
-            for x, y in combinations(range(n), 2)
-        ]
-    bits = [sep.translate(_DIGITS) for sep in spell]
-    counts = list(map(bytes.count, bits, repeat(b"1")))
-    bits = list(map(bits.__getitem__, sorted(range(len(bits)), key=counts.__getitem__)))
-    blob = b"".join(reversed(bits))
-    return [int(sep, 2) for sep in bits], [int(blob[j::n], 2) for j in range(n - 1, -1, -1)]
+    n = len(tables[0])
+    numerals = []
+    for rows in tables:
+        if n < 256:
+            packed = [int.from_bytes(bytes(row), "little") for row in rows]
+            spell = [(packed[x] ^ packed[y]).to_bytes(n, "big") for x, y in combinations(range(n), 2)]
+        else:
+            packed = [int.from_bytes(b"".join(e.to_bytes(2, "little") for e in row), "little") for row in rows]
+            spell = [
+                ((diff := packed[x] ^ packed[y]) | diff >> 8).to_bytes(2 * n, "big")[1::2]
+                for x, y in combinations(range(n), 2)
+            ]
+        numerals.append([sep.translate(_DIGITS) for sep in spell])
+    last = numerals[-1]
+    counts = list(map(bytes.count, last, repeat(b"1")))
+    order = sorted(range(len(last)), key=counts.__getitem__)
+    seps = [int(last[p], 2) for p in order]
+    order.reverse()
+    blobs = (b"".join(map(bits.__getitem__, order)) for bits in numerals)
+    return seps, *([int(blob[j::n], 2) for j in range(n - 1, -1, -1)] for blob in blobs)
 
 
 def _separable(seps: list[int], covers: list[int], budget: int, open_: int, avail: int) -> bool:
@@ -687,6 +760,67 @@ def _separable(seps: list[int], covers: list[int], budget: int, open_: int, avai
         return False
 
     return not open_ or feasible(open_, avail, budget)
+
+
+def _weighted_separable(seps: list[int], covers: list[list[int]], caps: Sequence[int], budget: int, open_: int) -> bool:
+    """Whether strengths f(z) <= caps[z] of total cost at most `budget` >= 1
+    separate every pair in the bitmask `open_`, for the tables of
+    `_pair_tables` with one covers list per strength (covers[i - 1] for
+    strength i, seps at the strongest): the weighted sibling of
+    `_separable`, a branch and bound over pair covers.
+
+    What z separates only grows with its strength, so z separates pair p
+    from a threshold t(p, z) on, up to its cap. Every answer raises some
+    separator of the lowest open pair p to its threshold, so a node takes
+    each separator z of p in turn, at cost t(p, z) - f(z), and caps z
+    below t(p, z) in the branches after its own: z drops out only when
+    t(p, z) = 1, for above that it may still separate other pairs at a
+    lower strength. Every answer lies in some branch, and a branch fails
+    when its budget runs out with a pair still open. A node with budget 1
+    only asks whether raising one separator of p by 1 closes every pair.
+    """
+    f = [0] * len(caps)
+    lim = list(caps)
+
+    def feasible(open_: int, budget: int) -> bool:
+        p = (open_ & -open_).bit_length() - 1
+        sep = seps[p]
+        if budget == 1:
+            while sep:
+                low = sep & -sep
+                sep ^= low
+                z = low.bit_length() - 1
+                if f[z] < lim[z] and not open_ & ~covers[f[z]][z]:
+                    return True
+            return False
+        undo = []
+        found = False
+        while sep:
+            low = sep & -sep
+            sep ^= low
+            z = low.bit_length() - 1
+            was = f[z]
+            top = lim[z]
+            most = min(top, was + budget)
+            t = was + 1
+            while t <= most and not covers[t - 1][z] >> p & 1:
+                t += 1
+            if t > most:
+                continue
+            cost = t - was
+            rest = open_ & ~covers[t - 1][z]
+            f[z] = t
+            found = not rest or budget > cost and feasible(rest, budget - cost)
+            f[z] = was
+            if found:
+                break
+            undo.append((z, top))
+            lim[z] = t - 1
+        for z, top in undo:
+            lim[z] = top
+        return found
+
+    return not open_ or feasible(open_, budget)
 
 
 def broadcast_value_caps(g: Graph, d: Optional[DistanceMatrix] = None) -> tuple[int, ...]:
@@ -730,12 +864,10 @@ def _broadcast_search(g: Graph, d: Optional[DistanceMatrix], collect: bool):
     twins = d.twins
     # The proved lower bounds: diameter/3, twin support and counting.
     lb = max(1, -(-d.profile.finite_diameter // 3), twins.forced_minimum(), counting_floor(n, 2))
+    tables = [d.truncated(i) for i in range(1, max(caps) + 1)]
     # rows[i][z] = code row of z at strength i (None above z's cap)
-    rows = [None] + [
-        [row if i <= cap else None for row, cap in zip(d.truncated(i), caps)]
-        for i in range(1, max(caps) + 1)
-    ]
-    return (lb, *_search(rows, caps, lb, twins.groups, True, collect))
+    rows = [None] + [[row if i <= cap else None for row, cap in zip(table, caps)] for i, table in enumerate(tables, 1)]
+    return (lb, *_search(rows, caps, lb, twins.groups, tables, collect))
 
 
 def solve_bdim(g: Graph, d: Optional[DistanceMatrix] = None) -> SolverResult:

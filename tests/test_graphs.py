@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import FrozenInstanceError, fields
+from functools import cached_property
 from itertools import combinations
 
 import pytest
@@ -149,6 +151,29 @@ def test_checks_truncate_only_the_rows_they_read(monkeypatch):
     # Row z reaches max(z, 6 - z), so only rows 0 and 1 exceed z + 2.
     assert made == [1, 2]
     assert [d.cut_row(z, f[z]) is d.dist[z] for z in range(7)] == [False, False] + [True] * 5
+
+
+def test_bundle_makes_twins_profile_and_tree_once(monkeypatch):
+    # A bundle's twins, profile and tree are made on first read, through
+    # the module's `twin_partition` and `metric_profile` (the bindings the
+    # benchmark's spans wrap), and kept in a dict: a later read returns
+    # the same object and makes nothing, and no cached_property is left
+    # on the class, whose first read takes a lock before Python 3.12.
+    from resolvedim import graphs
+
+    made = []
+    twins, profile = graphs.twin_partition, graphs.metric_profile
+    monkeypatch.setattr(graphs, "twin_partition", lambda g: made.append("twins") or twins(g))
+    monkeypatch.setattr(graphs, "metric_profile", lambda g, d=None: made.append("profile") or profile(g, d))
+    assert not any(isinstance(v, cached_property) for v in vars(graphs.DistanceMatrix).values())
+    for g in (families.spider(4, 2), families.cycle(6)):
+        made.clear()
+        d = all_pairs_distances(g)
+        first = d.twins, d.profile, d.tree
+        assert (d.twins, d.profile, d.tree) == first
+        assert all(map(operator.is_, (d.twins, d.profile, d.tree), first))
+        assert made == ["twins", "profile"]
+        assert first == (twin_partition(g), metric_profile(g), tree_profile(g))
 
 
 def test_metric_profile_eccentricities_by_definition():

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from functools import reduce
-from itertools import combinations, product
+from itertools import combinations, count, product, repeat
 from math import comb
 from operator import ne, or_
 
@@ -42,6 +42,7 @@ from resolvedim.solvers import (
     _pair_tables,
     _separable,
     _twin_debt,
+    _weighted_separable,
     broadcast_value_caps,
 )
 from resolvedim.verify import labelled_graphs
@@ -352,6 +353,8 @@ def test_class_count_cut_on_trees_with_twin_leaves():
     # Twin leaves bring twin groups into the counting walk and its memo
     # key; the cycles and paths above have none. Every solve is checked
     # against the oracle, whether or not a cut sent it into counting mode.
+    # Every bdim solve here makes its class-count bound before its first
+    # level, and the adim solves cut too, so all 94 count some candidates.
     adim_oracle = lambda g, d: seed_oracle.solve_dim_k(g, 1, d)
     kinds = ((solve_bdim, seed_oracle.solve_bdim), (solve_adim, adim_oracle))
     solves = cut = 0
@@ -366,7 +369,49 @@ def test_class_count_cut_on_trees_with_twin_leaves():
                 solves += 1
                 cut += new.candidates_checked < new.candidates_examined
                 assert _fields(new) == _fields(oracle(g, d)), f"{new.kind} on tree n={n} seed={seed}"
-    assert (solves, cut) == (2 * 47, 91)
+    assert (solves, cut) == (2 * 47, 94)
+
+
+def test_cover_proof_keeps_every_field(monkeypatch):
+    # From order 11 on, bdim proves a level empty by pair covers before it
+    # scans it when the class-count bound is far from cutting. On random
+    # trees and G(n, p) at orders 11 to 14, every field matches the
+    # oracle's and the solve's with the proof off, and so does the
+    # enumerator's list. The twin-leaf trees of the test above, whose bdim
+    # solves it checks against the oracle, are compared with the proof off.
+    rng = random.Random(20161024)
+    twin_trees = [
+        g
+        for n in (12, 13)
+        for g in map(families.random_tree, repeat(n), range(40))
+        if any(len(grp) > 1 for grp in twin_partition(g).groups)
+    ]
+    graphs = [families.random_tree(n, rng.randrange(2**31)) for n in (11, 14) for _ in range(4)]
+    graphs += [families.random_graph(n, rng.uniform(0.2, 0.5), rng.randrange(2**31)) for n in (11, 12, 13, 14) for _ in range(5)]
+    ruled_out = []
+    separable = solvers._weighted_separable
+
+    def spy(seps, covers, caps, budget, open_):
+        found = separable(seps, covers, caps, budget, open_)
+        ruled_out.append(not found)
+        return found
+
+    monkeypatch.setattr(solvers, "_weighted_separable", spy)
+    proved = []
+    for g in twin_trees + graphs:
+        d = all_pairs_distances(g)
+        proved.append((solve_bdim(g, d), enumerate_min_broadcasts(g, d)))
+    # 320 root proofs over the 150 solves ruled out 170 levels.
+    assert (len(ruled_out), sum(ruled_out)) == (320, 170)
+    monkeypatch.setattr(solvers, "_proof_first", lambda n, slack: False)
+    oracle = [False] * len(twin_trees) + [True] * len(graphs)
+    for g, (new, listed), by_oracle in zip(twin_trees + graphs, proved, oracle):
+        d = all_pairs_distances(g)
+        label = f"n={g.n} edges={g.edges()}"
+        assert _fields(new) == _fields(solve_bdim(g, d)), label
+        assert listed == enumerate_min_broadcasts(g, d), label
+        if by_oracle:
+            assert _fields(new) == _fields(seed_oracle.solve_bdim(g, d)), label
 
 
 def test_pair_separation_test_matches_the_scan():
@@ -387,6 +432,82 @@ def test_pair_separation_test_matches_the_scan():
                 assert _separable(seps, covers, budget, (1 << len(seps)) - 1, (1 << n) - 1) == (budget >= value), (
                     f"k={k} budget={budget} n={n} edges={g.edges()}"
                 )
+
+
+def _capped_vectors(caps, budget):
+    """Every strength vector f <= caps of total cost at most `budget`."""
+    if not caps:
+        yield ()
+        return
+    for v in range(min(caps[0], budget) + 1):
+        for rest in _capped_vectors(caps[1:], budget - v):
+            yield (v, *rest)
+
+
+def _resolves(d, f):
+    """Whether the strength vector f resolves the graph of d, by the
+    definition: every vertex's code of distances truncated at f(z) + 1."""
+    n = len(f)
+    codes = {tuple(min(d.dist[z][x], f[z] + 1) for z in range(n) if f[z]) for x in range(n)}
+    return len(codes) == n
+
+
+def test_pair_tables_per_strength_match_their_definition():
+    # With one table per strength, covers_i[z] holds the pairs that row z
+    # of table i splits, all under the numbering of the last table, and
+    # seps the last table's separators: on every labelled graph of order
+    # 2 to 5 and the strengths 1 to its largest cap.
+    for g in labelled_graphs(5):
+        n = g.n
+        if n < 2:
+            continue
+        d = all_pairs_distances(g)
+        tables = [d.truncated(i) for i in range(1, max(broadcast_value_caps(g, d)) + 1)]
+        pairs = sorted(combinations(range(n), 2), key=lambda pair: sum(row[pair[0]] != row[pair[1]] for row in tables[-1]))
+        seps, *covers = _pair_tables(*tables)
+        assert len(covers) == len(tables)
+        assert seps == [sum(1 << z for z in range(n) if tables[-1][z][x] != tables[-1][z][y]) for x, y in pairs]
+        for table, cover in zip(tables, covers):
+            assert cover == [sum(1 << p for p, (x, y) in enumerate(pairs) if table[z][x] != table[z][y]) for z in range(n)]
+
+
+def test_weighted_separation_matches_brute_force():
+    # Called without bdim's gate, which keeps it for orders of 11 and
+    # more: for every cost c from 1 to bdim, some strengths within the caps
+    # of total cost at most c separate every pair exactly when some capped
+    # vector of cost at most c resolves, found by brute force over the
+    # vectors. On random sub-states (open pairs, and caps lowered below
+    # the caps) it must agree with brute force over the covers.
+    rng = random.Random(20240612)
+    graphs = [g for g in labelled_graphs(5) if g.n > 1]
+    graphs += [families.random_graph(n, rng.uniform(0.15, 0.6), rng.randrange(2**31)) for n in (6, 7) for _ in range(6)]
+    graphs += [families.random_tree(n, rng.randrange(2**31)) for n in (6, 7) for _ in range(3)]
+    levels = sub_states = 0
+    for g in graphs:
+        n = g.n
+        d = all_pairs_distances(g)
+        caps = broadcast_value_caps(g, d)
+        seps, *covers = _pair_tables(*(d.truncated(i) for i in range(1, max(caps) + 1)))
+        everything = (1 << len(seps)) - 1
+        for cost in count(1):
+            brute = any(_resolves(d, f) for f in _capped_vectors(caps, cost))
+            assert _weighted_separable(seps, covers, caps, cost, everything) == brute, f"cost={cost} n={n} edges={g.edges()}"
+            levels += 1
+            if brute:
+                break
+        for _ in range(3):
+            lowered = [rng.randint(0, cap) for cap in caps]
+            open_ = rng.getrandbits(len(seps))
+            for budget in (1, 2, 3, 4):
+                brute = any(
+                    not open_ & ~reduce(or_, (covers[v - 1][z] for z, v in enumerate(f) if v), 0)
+                    for f in _capped_vectors(lowered, budget)
+                )
+                assert _weighted_separable(seps, covers, lowered, budget, open_) == brute, (
+                    f"budget={budget} open={open_:b} caps={lowered} n={n} edges={g.edges()}"
+                )
+                sub_states += 1
+    assert (levels, sub_states) == (2413, 4 * 3 * len(graphs))
 
 
 def test_pair_separation_test_on_sub_states():
@@ -657,17 +778,19 @@ def test_split_cut_keeps_every_field(monkeypatch):
         assert _fields(new) == _fields(solved[label]), label
 
 
-def test_bdim_never_builds_a_pair_table(monkeypatch):
-    # Only the set walk reads pair tables; bdim and the enumerator cut
-    # with the split cut's class lists alone, and solve as before.
+def test_cycles_and_paths_build_no_cover_table(monkeypatch):
+    # The class-count slack of bdim on C16, P14 and C20 is 5 or less on
+    # every level, below the n/2 that sends a level to the pair-cover
+    # proof first: they build no cover table and solve as before, as does
+    # the enumerator on C12.
     def refuse(*args):
         raise AssertionError("built")
 
-    graphs = [families.grid((3, 5)), families.cycle(16), families.path(14)]
-    c10 = families.cycle(10)
-    before = [solve_bdim(g) for g in graphs], enumerate_min_broadcasts(c10)
+    graphs = [families.cycle(16), families.path(14), families.cycle(20)]
+    c12 = families.cycle(12)
+    before = [solve_bdim(g) for g in graphs], enumerate_min_broadcasts(c12)
     monkeypatch.setattr(solvers, "_pair_tables", refuse)
-    assert ([solve_bdim(g) for g in graphs], enumerate_min_broadcasts(c10)) == before
+    assert ([solve_bdim(g) for g in graphs], enumerate_min_broadcasts(c12)) == before
     # The split cut's gate: no solve of a graph of order 5 or less checks
     # as many candidates as the class lists it would build have entries.
     monkeypatch.setattr(solvers, "_split_classes", refuse)

@@ -396,19 +396,22 @@ def test_solver_stats_present():
 
 def test_nodes_built_counts_the_code_scan():
     # A solve of order 2 or less checks its leaves and builds no node's
-    # codes; bdim of C16 builds the codes of 1,551 nodes.
+    # codes; bdim of C16, whose class-count bound is made before its first
+    # level, builds the codes of 1,458 nodes.
     for g in labelled_graphs(2):
         d = all_pairs_distances(g)
         for res in (solve_dim(g, d), solve_adim(g, d), solve_dim_k(g, 2, d), solve_bdim(g, d)):
             assert res.nodes_built == 0, (res.kind, g.n, g.edges())
-    assert solve_bdim(families.cycle(16)).nodes_built == 1551
+    assert solve_bdim(families.cycle(16)).nodes_built == 1458
     # Trees with twin leaves, where the twin rule bounds and steers the
     # walk: (candidates checked, nodes built). The first two have one
-    # group of three and two groups of two; dim of random_tree(28, 1)
-    # meets its twin groups on the pair-table walk.
+    # group of three and two groups of two, and the pair-cover proof
+    # counts bdim's empty levels 4 to 6 of the first and level 5 of the
+    # second whole, after which the split cut tests every node; dim of
+    # random_tree(28, 1) meets its twin groups on the pair-table walk.
     for solve, g, counts in (
-        (solve_bdim, families.random_tree(14, 1), (1463, 3463)),
-        (solve_bdim, families.random_tree(14, 0), (1608, 2609)),
+        (solve_bdim, families.random_tree(14, 1), (92, 128)),
+        (solve_bdim, families.random_tree(14, 0), (1324, 2062)),
         (solve_adim, families.random_tree(20, 2), (197, 5669)),
         (solve_dim, families.random_tree(28, 1), (26, 3)),
     ):
