@@ -77,8 +77,8 @@ adim walk each level over the pair tables (`_pair_tables`) instead of
 codes: each node carries the bitmask of the pairs still open, a leaf
 resolves when its landmark separates all of them, and the candidates
 below a node with cost r >= 2 left are counted, as below a cut, when a
-branch and bound over those tables (`_separable`) shows that no r
-landmarks above it separate them. The tables number the pairs by
+branch and bound over those tables (`_separable`, all caps 1) shows that
+no r landmarks above it separate them. The tables number the pairs by
 ascending count of separators, so the branch and bound branches on the
 lowest open pair, the rarest, with one big-int step per branch and none
 per open pair. At the root that is the proof that the level is empty;
@@ -96,13 +96,15 @@ the proved subtrees and levels too.
 bdim is the weighted case of the same hitting set: z at strength i
 separates x and y exactly when their entries in row (z, i) differ, and
 what z separates only grows with i, up to its cap. `_pair_tables` builds
-one covers list per strength under one numbering of the pairs, and
-`_weighted_separable` decides whether strengths of total cost at most L
-separate every pair: it branches on the lowest open pair and raises each
-of its separators to the strength from which it separates that pair. At
-n >= 11 each bdim level whose class-count slack (`_class_slack`: how
-many classes the best root child could add beyond the n - 1 the root
-misses) is at least n/2 (`_proof_first`) goes to that proof first, and
+one covers list per strength under one numbering of the pairs, a set's
+one list being the one-strength case, and the same `_separable`, with
+bdim's caps and every landmark available, decides whether strengths of
+total cost at most L separate every pair: it branches on the lowest open
+pair and raises each of its separators to the strength from which it
+separates that pair. At n >= 11 each bdim level whose class-count slack
+(`_class_slack`: how many classes the best root child could add beyond
+the n - 1 the root misses) is at least n/2 (`_proof_first`) goes to
+that proof first, and
 a level it rules out is counted whole by the walk in counting mode and
 never scanned. The level it does not rule out, the value, is scanned as
 before, so only `candidates_checked` and `nodes_built` change. Where the
@@ -155,8 +157,7 @@ class SolverResult:
     # separates. The rest of those examined were counted at leaves or in
     # subtrees that the class-count bound, the split cut or the
     # pair-separation branch and bound skipped, or in levels that branch
-    # and bound, or for bdim its weighted sibling over the covers per
-    # strength, showed empty.
+    # and bound showed empty, for bdim over the covers per strength.
     candidates_checked: int
     # The nodes of the code scan whose codes were built; the pair-table
     # walk and a level proved empty build none.
@@ -270,12 +271,12 @@ def _class_slack(gain, best, caps: Sequence[int], cost: int) -> int:
 
 
 def _proof_first(n: int, slack: int) -> bool:
-    """Whether bdim proves a level by pair covers (`_weighted_separable`)
-    before it scans it: when the class-count slack is at least n/2. A
-    tighter bound cuts the scan of the level itself, as on cycles and
-    paths of orders 11 to 24, whose slack stays at 7 or less, below n/2,
-    on every level; proving all their levels made C20, P20 and C22 2 to
-    4.4 times slower."""
+    """Whether bdim proves a level by pair covers (`_separable`) before it
+    scans it: when the class-count slack is at least n/2. A tighter
+    bound cuts the scan of the level itself, as on cycles and paths of
+    orders 11 to 24, whose slack stays at 7 or less, below n/2, on every
+    level; proving all their levels made C20, P20 and C22 2 to 4.4 times
+    slower."""
     return 2 * slack >= n
 
 
@@ -307,8 +308,8 @@ def _search(
     scanned too. A broadcast passes `tables`, its whole table of rows at
     each strength 1..max(caps), of which `rows` keeps those within the
     caps; from order 11 on, a level that `_proof_first` picks by its
-    class-count slack and that `_weighted_separable` rules out over the
-    covers per strength of those tables is counted, not scanned.
+    class-count slack and that `_separable` rules out over the covers per
+    strength of those tables is counted, not scanned.
 
     A vector is built one support vertex at a time: each step picks the
     next vertex z above the previous one and a strength 1 <= v <= caps[z],
@@ -538,7 +539,7 @@ def _search(
             pair.
             """
             nonlocal checked
-            if rem > 1 and not _separable(seps, covers, rem, open_, top - (1 << (last + 1))):
+            if rem > 1 and not _separable(seps, covers, caps, rem, open_, top - (1 << (last + 1))):
                 return ways[last + 1][rem] if last >= clear else extend(None, last, rem, 0, 1, free, 0)
             hi = n
             owed = owing = 0
@@ -551,7 +552,7 @@ def _search(
                     if owed > owing >> z & 1:
                         continue
                     total += 1
-                    if not open_ & ~covers[z]:
+                    if not open_ & ~covers[0][z]:
                         found.append((*path, (z, 1)))
                         break
                 checked += total
@@ -563,7 +564,7 @@ def _search(
                         continue
                     next_free = free & ~(1 << z)
                 path.append((z, 1))
-                total += descend(open_ & ~covers[z], z, rem - 1, next_free)
+                total += descend(open_ & ~covers[0][z], z, rem - 1, next_free)
                 if found:
                     return total
                 path.pop()
@@ -571,7 +572,7 @@ def _search(
 
     start = [0] * n
     examined = 0
-    ruled_out = False  # some level was proved empty by `_weighted_separable`
+    ruled_out = False  # some bdim level was proved empty by `_separable`
     for cost in levels:
         # A node reads best[r] for the cost r left below it, r < cost, and
         # the walk reads ways[i][r] for r <= cost.
@@ -581,7 +582,7 @@ def _search(
         if proof is not None and cost + 1 >= proof:
             if cost >= proof and close < n:  # no near miss on the level before
                 if seps is None:
-                    seps, covers = _pair_tables(ones)
+                    seps, *covers = _pair_tables(ones)
                 examined += descend((1 << len(seps)) - 1, -1, cost, members)
                 if found:
                     return cost, examined, checked, built, found
@@ -594,7 +595,7 @@ def _search(
         if proving and _proof_first(n, _class_slack(gain, best, caps, cost)):
             if seps is None:
                 seps, *covers = _pair_tables(*tables)
-            if not _weighted_separable(seps, covers, caps, cost, (1 << len(seps)) - 1):
+            if not _separable(seps, covers, caps, cost, (1 << len(seps)) - 1, (1 << n) - 1):
                 examined += extend(None, -1, cost, 0, 1, members, 0)
                 ruled_out = True
                 continue
@@ -686,7 +687,7 @@ def _pair_tables(*tables) -> tuple[list[int], ...]:
     the bitmask of the pairs that tables[i - 1][z] separates, bit p for the
     p-th pair x < y, separated where rows[z][x] != rows[z][y]; seps[p] is
     the bitmask of the landmarks that the last table's rows separate the
-    p-th pair by. A set solve has one table, (seps, covers). bdim has one
+    p-th pair by. A set solve has one table, (seps, covers_1). bdim has one
     per strength, `DistanceMatrix.truncated(i)`: what z separates grows
     with i up to z's cap and no further, so the last table's seps hold
     every landmark that separates a pair at some strength within its cap,
@@ -734,64 +735,43 @@ def _pair_tables(*tables) -> tuple[list[int], ...]:
     return seps, *([int(blob[j::n], 2) for j in range(n - 1, -1, -1)] for blob in blobs)
 
 
-def _separable(seps: list[int], covers: list[int], budget: int, open_: int, avail: int) -> bool:
-    """Whether at most `budget` >= 1 of the landmarks in the bitmask
-    `avail` separate every pair in the bitmask `open_`, for the tables of
-    `_pair_tables`: a branch and bound over hitting sets.
-
-    Every hitting set holds a separator of the lowest open pair, the one
-    with the fewest separators. A node takes each of its available
-    separators in turn and excludes it from the branches after its own,
-    so every hitting set lies in some branch; a branch fails when its
-    budget runs out with a pair still open. There is no other cut: each
-    node reads one entry of `seps`, and one of `covers` per branch,
-    however many pairs are open.
-    """
-
-    def feasible(open_: int, avail: int, budget: int) -> bool:
-        sep = seps[(open_ & -open_).bit_length() - 1] & avail
-        while sep:
-            low = sep & -sep
-            avail ^= low
-            rest = open_ & ~covers[low.bit_length() - 1]
-            if not rest or budget > 1 and feasible(rest, avail, budget - 1):
-                return True
-            sep ^= low
-        return False
-
-    return not open_ or feasible(open_, avail, budget)
-
-
-def _weighted_separable(seps: list[int], covers: list[list[int]], caps: Sequence[int], budget: int, open_: int) -> bool:
-    """Whether strengths f(z) <= caps[z] of total cost at most `budget` >= 1
-    separate every pair in the bitmask `open_`, for the tables of
-    `_pair_tables` with one covers list per strength (covers[i - 1] for
-    strength i, seps at the strongest): the weighted sibling of
-    `_separable`, a branch and bound over pair covers.
+def _separable(seps: list[int], covers: list[list[int]], caps: Sequence[int], budget: int, open_: int, avail: int) -> bool:
+    """Whether strengths f(z) <= caps[z] of total cost at most `budget` >= 1,
+    on the landmarks in the bitmask `avail`, separate every pair in the
+    bitmask `open_`, for the tables of `_pair_tables`: covers[i - 1] for
+    strength i, seps at the strongest. A branch and bound over pair covers;
+    a set is the case of one covers list and all caps 1.
 
     What z separates only grows with its strength, so z separates pair p
     from a threshold t(p, z) on, up to its cap. Every answer raises some
-    separator of the lowest open pair p to its threshold, so a node takes
-    each separator z of p in turn, at cost t(p, z) - f(z), and caps z
-    below t(p, z) in the branches after its own: z drops out only when
-    t(p, z) = 1, for above that it may still separate other pairs at a
-    lower strength. Every answer lies in some branch, and a branch fails
-    when its budget runs out with a pair still open. A node with budget 1
-    only asks whether raising one separator of p by 1 closes every pair.
+    separator of the lowest open pair p, the one with the fewest
+    separators, to its threshold, so a node takes each available
+    separator z of p in turn, at cost t(p, z) - f(z). In the branches after
+    its own, z drops out when t(p, z) = f(z) + 1, and is capped below
+    t(p, z) otherwise, for it may still separate other pairs at a lower
+    strength; a branch that raises z to its cap leaves it out below. With
+    caps of 1 each branch thus drops its landmark after it. Every answer
+    lies in some branch, and a branch fails when its budget runs out with a
+    pair still open. There is no other cut: each node reads one entry of
+    `seps`, and each branch one of `nxt`, what its landmark separates one
+    strength up, and one of `covers` per strength it raises the landmark
+    past that, however many pairs are open.
     """
+    # A landmark z in a node's avail has f[z] < lim[z], its cap there, and
+    # nxt[z] = covers[f[z]][z].
     f = [0] * len(caps)
     lim = list(caps)
+    nxt = covers[0][:]
 
-    def feasible(open_: int, budget: int) -> bool:
+    def feasible(open_: int, avail: int, budget: int) -> bool:
         p = (open_ & -open_).bit_length() - 1
-        sep = seps[p]
+        sep = seps[p] & avail
         if budget == 1:
             while sep:
                 low = sep & -sep
-                sep ^= low
-                z = low.bit_length() - 1
-                if f[z] < lim[z] and not open_ & ~covers[f[z]][z]:
+                if not open_ & ~nxt[low.bit_length() - 1]:
                     return True
+                sep ^= low
             return False
         undo = []
         found = False
@@ -800,27 +780,35 @@ def _weighted_separable(seps: list[int], covers: list[list[int]], caps: Sequence
             sep ^= low
             z = low.bit_length() - 1
             was = f[z]
-            top = lim[z]
-            most = min(top, was + budget)
             t = was + 1
-            while t <= most and not covers[t - 1][z] >> p & 1:
+            up = cover = nxt[z]
+            while not cover >> p & 1 and t < lim[z] and t - was < budget:
+                cover = covers[t][z]
                 t += 1
-            if t > most:
+            if not cover >> p & 1:
                 continue
+            rest = open_ & ~cover
             cost = t - was
-            rest = open_ & ~covers[t - 1][z]
-            f[z] = t
-            found = not rest or budget > cost and feasible(rest, budget - cost)
-            f[z] = was
+            if t < lim[z]:  # z stays available below, one strength up
+                f[z] = t
+                nxt[z] = covers[t][z]
+                found = not rest or budget > cost and feasible(rest, avail, budget - cost)
+                f[z] = was
+                nxt[z] = up
+            else:
+                found = not rest or budget > cost and feasible(rest, avail ^ low, budget - cost)
             if found:
                 break
-            undo.append((z, top))
-            lim[z] = t - 1
+            if cost == 1:
+                avail ^= low
+            else:
+                undo.append((z, lim[z]))
+                lim[z] = t - 1
         for z, top in undo:
             lim[z] = top
         return found
 
-    return not open_ or feasible(open_, budget)
+    return not open_ or feasible(open_, avail, budget)
 
 
 def broadcast_value_caps(g: Graph, d: Optional[DistanceMatrix] = None) -> tuple[int, ...]:

@@ -31,7 +31,7 @@ from .graphs import (
     delta_prime,
     truncated_row,
 )
-from .resolution import broadcast_codes, counting_feasible, is_resolving_broadcast
+from .resolution import broadcast_codes, counting_feasible, counting_floor, is_resolving_broadcast
 from .solvers import (
     broadcast_value_caps,
     delete_edge,
@@ -586,9 +586,7 @@ def suite_sharp_families(ctx: VerifyContext) -> Iterator[Check]:
         )
     for n in range(4, 13):
         g = families.logn_sharp_trimmed(n)
-        k = 1
-        while k + 2**k < n:
-            k += 1
+        k = counting_floor(n, 2)
         adim = ctx.solve("adim", g)
         yield Check(
             f"logn_sharp_trimmed n={n}", g.n == n and adim <= k, f"order={g.n} adim={adim} cap={k}"
