@@ -62,36 +62,37 @@ mode, which builds no code, checks no leaf and memoises each count.
 says how many had their codes compared.
 
 The bound's tables are made once per solve, when the scan has built as
-many nodes as there are strength rows (`_bound_gate`), or for bdim from
-order 11 on before its first level, and never when some strength-1 row
-adds at least (n - 2)/2 classes (`_counting_idle`): there a count prices
-out almost nothing, and dim on random graphs would pay for tables it
-does not use.
+many nodes as there are strength rows (`_bound_gate`), or before the
+first level of a solve that proves its levels (below), and never when
+some strength-1 row adds at least (n - 2)/2 classes (`_counting_idle`):
+there a count prices out almost nothing, and dim on random graphs would
+pay for tables it does not use.
 
 For sets, the exponential part of a solve is mostly the proof that no
 smaller set resolves, not the search for the witness. A set resolves
 exactly when it holds, for every pair of vertices, a landmark whose row
 separates them: a hitting set over pairs (Khuller, Raghavachari and
-Rosenfeld, 1996). From some level on (`_level_proof`), dim, dim_k and
-adim walk each level over the pair tables (`_pair_tables`) instead of
-codes: each node carries the bitmask of the pairs still open, a leaf
-resolves when its landmark separates all of them, and the candidates
-below a node with cost r >= 2 left are counted, as below a cut, when a
-branch and bound over those tables (`_separable`, all caps 1) shows that
-no r landmarks above it separate them. The tables number the pairs by
-ascending count of separators, so the branch and bound branches on the
-lowest open pair, the rarest, with one big-int step per branch and none
-per open pair. At the root that is the proof that the level is empty;
-below it, it steers the walk to the lex-least witness. These levels run
-neither the class-count bound, which is idle on them, nor the split
-cut: the branch and bound fails wherever an open pair has no separator
-above the node. At n >= 12, while the class-count bound is idle, the
-walk starts at the first level above the first one scanned that has
-more than 4 * C(n, 2) subsets. A level whose predecessor's scan checked
-a leaf within 2 classes of resolving is scanned instead, so each near
-miss defers the walk by one level. The walk examines the same candidates
-as the scan, so the counts stay the same; `candidates_checked` leaves out
-the proved subtrees and levels too.
+Rosenfeld, 1996). dim, dim_k and adim walk some levels over the pair
+tables (`_pair_tables`) instead of codes (`descend`): each node carries
+the bitmask of the pairs still open, a leaf resolves when its landmark
+separates all of them, and the candidates below a child with cost r >= 2
+left are counted, as below a cut, when a branch and bound over those
+tables (`_separable`, all caps 1) shows that no r landmarks above it
+separate them. The tables number the pairs by ascending count of
+separators, so the branch and bound branches on the lowest open pair,
+the rarest, with one big-int step per branch and none per open pair. At
+the root, before the walk, that is the proof that the level is empty,
+which counts the level whole; below it, it steers the walk to the
+lex-least witness. These levels run neither the class-count bound nor
+the split cut: the branch and bound fails wherever an open pair has no
+separator above the node. While the class-count bound is idle, from
+n >= 12, the walk starts at the first level above the first one scanned
+that has more than 4 * C(n, 2) subsets (`_level_proof`). A level whose
+predecessor's scan checked a leaf within 2 classes of resolving is
+scanned instead, so each near miss defers the walk by one level. A set
+whose bound works takes bdim's rule below. The walk examines the same
+candidates as the scan, so the counts stay the same; `candidates_checked`
+leaves out the proved subtrees and levels too.
 
 bdim is the weighted case of the same hitting set: z at strength i
 separates x and y exactly when their entries in row (z, i) differ, and
@@ -101,16 +102,24 @@ one list being the one-strength case, and the same `_separable`, with
 bdim's caps and every landmark available, decides whether strengths of
 total cost at most L separate every pair: it branches on the lowest open
 pair and raises each of its separators to the strength from which it
-separates that pair. At n >= 11 each bdim level whose class-count slack
-(`_class_slack`: how many classes the best root child could add beyond
-the n - 1 the root misses) is at least n/2 (`_proof_first`) goes to
-that proof first, and
-a level it rules out is counted whole by the walk in counting mode and
-never scanned. The level it does not rule out, the value, is scanned as
-before, so only `candidates_checked` and `nodes_built` change. Where the
-slack is smaller, as on every level of cycles and paths measured, the
-class-count bound already cuts the scan: proving every level made C20,
-P20 and C22 2 to 4.4 times slower.
+separates that pair.
+
+One rule serves bdim and the sets whose class-count bound works: prove
+the level, then walk it. From the order `_proving` sets, 10 for bdim and
+11 for sets, each level whose class-count slack (`_class_slack`: how
+many classes the best root child could add beyond the n - 1 the root
+misses) is at least n/2 (`_proof_first`) goes to that proof first. A
+level it rules out is counted whole by the walk in counting mode and
+never scanned. A level it does not rule out holds a resolving vector, so
+it is the value, and it is walked over the covers, not scanned by codes:
+a set's by `descend`, a broadcast's by `bdescend`, which is `extend`'s
+child loop with the open pairs that row (z, v) leaves,
+`open & ~covers[v - 1][z]`, in place of codes, in the same order and
+with the same twin debt and counting-condition break. `enumerate_min_broadcasts` collects
+every resolving vector of that walk. Only `candidates_checked` and
+`nodes_built` change. Where the slack is smaller, as on every level of
+cycles and paths measured, the class-count bound already cuts the scan:
+proving every level made C20, P20 and C22 2 to 4.4 times slower.
 
 The split cut also works by pairs, inside the code scan, for all four
 parameters. Below a node whose last support vertex is z, with cost
@@ -124,9 +133,9 @@ count cut. The test starts once the scan has built the codes of n**2
 nodes per strength the level reads, n times as many codes as those class
 lists have entries, so a tiny solve builds none. It counts nodes built,
 not candidates checked, because the class-count bound leaves few leaves
-to check; and it opens at once on the levels after one that bdim's
+to check; and it opens at once on the levels after one that the
 proof above ruled out, which built no node but is no tiny solve. Pair
-tables are read by the set walk and by bdim's proof of its levels.
+tables are read by the proofs of levels and the walks over them.
 
 Order-1 graphs take value 1 by convention for all parameters.
 """
@@ -152,15 +161,16 @@ class SolverResult:
     witness: Union[tuple[int, ...], Broadcast]
     candidates_examined: int
     lower_bound_used: int
-    # The candidates tested for resolution: by their codes, or in a set
-    # level walked over the pair tables by the pairs their last landmark
-    # separates. The rest of those examined were counted at leaves or in
-    # subtrees that the class-count bound, the split cut or the
-    # pair-separation branch and bound skipped, or in levels that branch
-    # and bound showed empty, for bdim over the covers per strength.
+    # The candidates tested for resolution: by their codes, or in a level
+    # walked over the pair tables by whether the row that ends them
+    # separates every pair still open. The rest of those examined were
+    # counted at leaves or in subtrees that the class-count bound, the
+    # split cut or the pair-separation branch and bound skipped, or in
+    # levels that branch and bound showed empty, for bdim over the covers
+    # per strength.
     candidates_checked: int
-    # The nodes of the code scan whose codes were built; the pair-table
-    # walk and a level proved empty build none.
+    # The nodes of the code scan whose codes were built; the walks over
+    # the pair tables and a level proved empty build none.
     nodes_built: int = 0
 
 
@@ -271,13 +281,37 @@ def _class_slack(gain, best, caps: Sequence[int], cost: int) -> int:
 
 
 def _proof_first(n: int, slack: int) -> bool:
-    """Whether bdim proves a level by pair covers (`_separable`) before it
-    scans it: when the class-count slack is at least n/2. A tighter
-    bound cuts the scan of the level itself, as on cycles and paths of
-    orders 11 to 24, whose slack stays at 7 or less, below n/2, on every
-    level; proving all their levels made C20, P20 and C22 2 to 4.4 times
-    slower."""
+    """Whether a solve that proves its levels (`_proving`) proves this one
+    by pair covers (`_separable`) instead of scanning it, and walks it
+    over the covers if the proof does not rule it out: when the
+    class-count slack is at least n/2. A tighter bound cuts the scan of
+    the level itself, as on cycles and paths of orders 11 to 24, whose
+    bdim slack stays at 7 or less, below n/2, on every level; proving all
+    their levels made C20, P20 and C22 2 to 4.4 times slower."""
     return 2 * slack >= n
+
+
+def _proving(n: int, broadcast: bool) -> bool:
+    """Whether a solve of order n proves its levels by pair covers before
+    it scans them, those that `_proof_first` picks, and walks over the
+    covers a level the proof does not rule out: bdim from order 10 on, and
+    a set whose class-count bound works from order 11 on. (A set whose
+    bound is idle waits for `_level_proof` instead.)
+
+    Each floor is the least order at which the proof and the walk pay,
+    swept in-process on random graphs and trees of each order, proof on
+    against off, each solve the minimum of 3 runs:
+    - bdim, on 150 G(n, p) (p from 0.25 to 0.55) and 100 random trees per
+      order and seed: at order 10 the trees took 47.7 ms against 67.0 ms
+      and 73.4 against 97.5 on two seeds, and G(n, p) 40.7 against 41.8
+      and 56.6 against 57.7; at order 9, on 60 G(n, p) and 40 trees, 17.1
+      against 11.5 and 15.6 against 11.1.
+    - sets, on 400 G(n, p) and 200 random trees per order (adim, dim_2 and
+      dim; the bound works almost only on adim): adim took 86 ms against
+      121 ms at order 11 (149 solves) and 137 against 170 at order 12, and
+      8.0 against 7.8 at order 10 and 10.8 against 9.0 at order 9.
+    """
+    return n >= (10 if broadcast else 11)
 
 
 def _split_classes(rows, caps: Sequence[int], base: int, r: int) -> list[list[int]]:
@@ -300,16 +334,21 @@ def _search(
 ) -> tuple[Optional[int], int, int, int, list[tuple[tuple[int, int], ...]]]:
     """Scan strength vectors level by level, each cost from lb up (below n
     for a set) and lexicographic order within a cost, for ones whose codes
-    are all distinct; stop after the first level that has one. For a set,
-    each level from the start of `_level_proof` on is walked over the pair
-    tables (`descend`) instead of by codes, unless the scan of the level
-    before it checked a leaf within 2 classes of n: a near miss says the
-    value is likely this level, where the tables would be waste, so it is
-    scanned too. A broadcast passes `tables`, its whole table of rows at
-    each strength 1..max(caps), of which `rows` keeps those within the
-    caps; from order 11 on, a level that `_proof_first` picks by its
-    class-count slack and that `_separable` rules out over the covers per
-    strength of those tables is counted, not scanned.
+    are all distinct; stop after the first level that has one. A broadcast
+    passes `tables`, its whole table of rows at each strength 1..max(caps),
+    of which `rows` keeps those within the caps.
+
+    Some levels are proved, then walked, over the pair tables instead:
+    - a level that `_proof_first` picks by its class-count slack, for a
+      solve that `_proving` lets prove its levels;
+    - for a set whose class-count bound is idle, each level from the start
+      of `_level_proof` on, unless the scan of the level before it checked
+      a leaf within 2 classes of n: a near miss says the value is likely
+      this level, where the tables would be waste, so it is scanned too.
+    A level that `_separable` rules out over the covers of those tables is
+    counted, and a level it does not rule out holds a resolving vector: it
+    is walked over the covers (`descend` for a set, `bdescend` for a
+    broadcast) to the lex-least one, or with `collect` to all of them.
 
     A vector is built one support vertex at a time: each step picks the
     next vertex z above the previous one and a strength 1 <= v <= caps[z],
@@ -333,14 +372,15 @@ def _search(
     building or checking codes: from the cost table `ways` when no
     twin-group member lies above it and, for a broadcast, its cheapest
     completion, one vertex at strength `left`, meets the counting
-    condition; otherwise by the walk in counting mode. A leaf is counted without
-    being checked. So it goes below a node that the split cut skips, and
-    below a node of a pair-table level that the branch and bound rules
-    out; at the root, that counts the whole level. Returns the cost
-    reached (None if the levels ran out), the number of candidates
-    examined, how many of those were checked, how many nodes had their
-    codes built, and the resolving vectors at that cost as (vertex,
-    strength) pairs: the first one, or with `collect` all of them.
+    condition; otherwise by the walk in counting mode (`tally`). A leaf
+    is counted without being checked. So it goes below a node that the
+    split cut skips, and below a node of a pair-table walk that the branch
+    and bound rules out; at the root, that counts the whole level.
+    Returns the cost reached (None if the levels ran out), the number of
+    candidates examined, how many of those were checked, how many nodes
+    had their codes built, and the resolving vectors at that cost as
+    (vertex, strength) pairs: the first one, or with `collect` all of
+    them.
     """
     n = len(caps)
     base = n + 1
@@ -364,14 +404,17 @@ def _search(
     # `_counting_idle`. Until then they are None, and every node misses 0
     # classes as far as the walk knows, so it reads neither.
     gain = above = best = None
-    # bdim from order 11 on makes them before its first level, where each
-    # level's class-count slack decides whether the cover proof runs first.
-    proving = broadcast and n >= 11
+    # A solve that `_proving` lets prove its levels makes them before its
+    # first level, where each level's class-count slack decides whether the
+    # cover proof runs first: bdim, and a set whose class-count bound works
+    # and whose lb is below n - 1, a level that always resolves.
+    proving = _proving(n, broadcast) and (broadcast or lb < n - 1 and not _counting_idle(ones, n))
     bound_gate = 0 if proving else _bound_gate(caps)
     level = 0
     # The cost table: ways[i][r] of `_cost_ways` for r <= level and the
     # vertices i above the highest twin-group member, made on the solve's
-    # first entry into the counting walk and remade at each later level.
+    # first entry into the counting walk or before its first walk over the
+    # pair tables, and remade at each later level.
     # Until then it is None and `clear` is n. A cut child at z >= clear has
     # no twin-group member above it, so every completion passes the twin
     # rule, and the table counts them when the cheapest one, all of `left`
@@ -521,26 +564,37 @@ def _search(
             memo[key] = total
         return total
 
-    # The pair tables, made on first use.
+    # The pair tables, made on first use: seps, and covers[i - 1] for
+    # strength i.
     seps = covers = None
-    if proof is not None:
+    # The walks over the pair tables, made for a solve that may prove a
+    # level.
+    if proving or proof is not None:
         top = 1 << n
 
-        def descend(open_: int, last: int, rem: int, free: int) -> int:
-            """Walk a set level as `extend` does, carrying the bitmask of
-            the pairs no landmark of the set so far separates instead of
-            codes, and return the number of candidates examined below this
-            node. `free` holds the twin-group members not chosen, and the
-            twin rule reads it through `_twin_debt` as in `extend`.
+        def tally(last: int, rem: int, supp: int, weight: int, free: int) -> int:
+            """Count the candidates below a node that spends `rem` on vertices
+            above `last`, as below a cut child: from the cost table when no
+            twin-group member lies above `last` and the cheapest completion,
+            all of rem on one vertex, meets the counting condition, otherwise
+            by `extend` in counting mode. `supp` counts `last`."""
+            if last >= clear and supp + 1 + weight * (rem + 1) >= need:
+                return ways[last + 1][rem]
+            return extend(None, last, rem, supp, weight, free, 0)
 
-            A node with rem >= 2 whose open pairs no `rem` landmarks above
-            `last` can separate (`_separable`) is walked in counting mode,
-            and a leaf resolves when its landmark separates every open
-            pair.
+        def descend(open_: int, last: int, rem: int, free: int) -> int:
+            """Walk a set level as `extend` does, carrying the bitmask of the
+            pairs no landmark of the set so far separates instead of codes, and
+            return the number of candidates examined below this node. `free`
+            holds the twin-group members not chosen, and the twin rule reads it
+            through `_twin_debt` as in `extend`.
+
+            A child with cost left >= 2 whose open pairs no landmarks of that
+            cost above it can separate (`_separable`) is counted (`tally`), and
+            a leaf resolves when its landmark separates every open pair. The
+            root's proof is the level's, made before the walk.
             """
             nonlocal checked
-            if rem > 1 and not _separable(seps, covers, caps, rem, open_, top - (1 << (last + 1))):
-                return ways[last + 1][rem] if last >= clear else extend(None, last, rem, 0, 1, free, 0)
             hi = n
             owed = owing = 0
             next_free = free
@@ -557,55 +611,134 @@ def _search(
                         break
                 checked += total
                 return total
-            # z leaves at least the rem - 1 vertices the set still takes above it.
+            left = rem - 1
+            # z leaves at least the rem - 1 vertices the set still takes
+            # above it.
             for z in range(last + 1, min(hi, n + 1 - rem)):
                 if masks:
                     if owed - (owing >> z & 1) >= rem:
                         continue
                     next_free = free & ~(1 << z)
+                nxt = open_ & ~covers[0][z]
+                if left > 1 and not _separable(seps, covers, caps, left, nxt, top - (2 << z)):
+                    total += tally(z, left, 0, 1, next_free)
+                    continue
                 path.append((z, 1))
-                total += descend(open_ & ~covers[0][z], z, rem - 1, next_free)
+                total += descend(nxt, z, left, next_free)
                 if found:
                     return total
                 path.pop()
             return total
 
+        def bdescend(open_: int, last: int, rem: int, supp: int, weight: int, free: int) -> int:
+            """Walk a broadcast level as `extend` walks it, over the covers per
+            strength instead of codes: a child (z, v) leaves open the pairs of
+            `open_` that row (z, v) does not separate. Vertices go from the top
+            down and strengths up, the twin debt and the counting condition
+            bound the loop as in `extend`, and a child with cost left >= 2 that
+            `_separable` rules out is counted (`tally`). A leaf, or a vertex
+            that ends the vector at strength `rem`, resolves when its row
+            separates every open pair. Stops at the first resolving vector
+            unless the walk collects, and returns the number of candidates
+            examined below this node; the root's proof is the level's.
+            """
+            nonlocal checked
+            supp += 1  # counting the next support vertex
+            hi = n
+            owed = owing = still = 0
+            next_free = free
+            if masks:
+                hi, owed, owing = debt.get(free) or debt.setdefault(free, _twin_debt(masks, free, n))
+            total = 0
+            if rem == 1:
+                for z in range(hi - 1, last, -1):
+                    if owed > owing >> z & 1:
+                        continue
+                    total += 1
+                    if not open_ & ~covers[0][z]:
+                        found.append((*path, (z, 1)))
+                        if not collect:
+                            break
+                checked += total
+                return total
+            ends = covers[rem - 1] if rem <= len(covers) and supp + weight * (rem + 1) >= need else ()
+            for z in range(hi - 1, last, -1):
+                cap = caps[z]
+                lo = rem - after[z]
+                if lo > cap:
+                    continue
+                if masks:
+                    still = owed - (owing >> z & 1)
+                    next_free = free & ~(1 << z)
+                for v in range(lo if lo > 1 else 1, cap + 1 if cap < rem else rem):
+                    left = rem - v
+                    w = weight * (v + 1)
+                    if still > left or supp + left + (w << left) < need:
+                        break
+                    nxt = open_ & ~covers[v - 1][z]
+                    if left > 1 and not _separable(seps, covers, caps, left, nxt, top - (2 << z)):
+                        total += tally(z, left, supp, w, next_free)
+                        continue
+                    path.append((z, v))
+                    total += bdescend(nxt, z, left, supp, w, next_free)
+                    if found and not collect:
+                        return total
+                    path.pop()
+                if cap < rem or still or not ends:
+                    continue
+                total += 1
+                checked += 1
+                if not open_ & ~ends[z]:
+                    found.append((*path, (z, rem)))
+                    if not collect:
+                        return total
+            return total
+
     start = [0] * n
     examined = 0
-    ruled_out = False  # some bdim level was proved empty by `_separable`
+    ruled_out = False  # some level was proved empty by `_separable`
     for cost in levels:
         # A node reads best[r] for the cost r left below it, r < cost, and
         # the walk reads ways[i][r] for r <= cost.
         level = cost
         if ways is not None:
             ways = _cost_ways(caps, cost, clear + 1)
+        walk = False
         if proof is not None and cost + 1 >= proof:
-            if cost >= proof and close < n:  # no near miss on the level before
-                if seps is None:
-                    seps, *covers = _pair_tables(ones)
-                examined += descend((1 << len(seps)) - 1, -1, cost, members)
-                if found:
-                    return cost, examined, checked, built, found
-                continue
-            close = n - 2
-        if built >= bound_gate:
-            make_bound()
-        elif best is not None:
-            _grow_class_bound(best, above, level)
-        if proving and _proof_first(n, _class_slack(gain, best, caps, cost)):
+            walk = cost >= proof and close < n  # no near miss on the level before
+            if not walk:
+                close = n - 2
+        if not walk:
+            if built >= bound_gate:
+                make_bound()
+            elif best is not None:
+                _grow_class_bound(best, above, level)
+            walk = proving and _proof_first(n, _class_slack(gain, best, caps, cost))
+        if walk:
             if seps is None:
-                seps, *covers = _pair_tables(*tables)
-            if not _separable(seps, covers, caps, cost, (1 << len(seps)) - 1, (1 << n) - 1):
-                examined += extend(None, -1, cost, 0, 1, members, 0)
+                seps, *covers = _pair_tables(*(tables or (ones,)))
+            everything = (1 << len(seps)) - 1
+            if not _separable(seps, covers, caps, cost, everything, top - 1):
+                examined += tally(-1, cost, 0, 1, members)
                 ruled_out = True
                 continue
-        # The split cut reads strengths 1..cost - 1, which take
-        # min(cost - 1, max(caps)) class lists of n * n entries; it
-        # waits for n * n nodes per strength, n codes each, unless a
-        # level was proved empty: that solve is past the tiny ones the
-        # gate spares, though the proved level built no node.
-        gate = 0 if ruled_out else n * n * min(cost - 1, strongest)
-        examined += extend(start, -1, cost, 0, 1, members, 0 if best is None else n - 1)
+            # Some vector of this cost resolves: walk the level to it, with
+            # the cost table for the children it rules out.
+            if ways is None:
+                clear = members.bit_length() - 1
+                ways = _cost_ways(caps, cost, clear + 1)
+            if broadcast:
+                examined += bdescend(everything, -1, cost, 0, 1, members)
+            else:
+                examined += descend(everything, -1, cost, members)
+        else:
+            # The split cut reads strengths 1..cost - 1, which take
+            # min(cost - 1, max(caps)) class lists of n * n entries; it
+            # waits for n * n nodes per strength, n codes each, unless a
+            # level was proved empty: that solve is past the tiny ones the
+            # gate spares, though the proved level built no node.
+            gate = 0 if ruled_out else n * n * min(cost - 1, strongest)
+            examined += extend(start, -1, cost, 0, 1, members, 0 if best is None else n - 1)
         if found:
             return cost, examined, checked, built, found
     return None, examined, checked, built, found
@@ -659,14 +792,16 @@ def _level_proof(rows, n: int, lb: int) -> Optional[int]:
 
     The tables run only when the class-count bound is idle
     (`_counting_idle`: some row gains at least (n - 2)/2 classes) and
-    n >= 12. The start is the first level above lb with more than
-    4 * C(n, 2) subsets, a count of plain binomials. The scan checks the
-    levels below it as before, so a solve whose witness lies there builds
-    no table. From the start on, a level is empty exactly when no set of
-    that size separates every pair (`_separable`); a larger set resolves
-    whenever a smaller one does, so the first level it does not rule out
-    is the value, and the same branch and bound steers its walk to the
-    lex-least witness.
+    n >= 12; a solve whose bound works proves the levels its class-count
+    slack picks instead (`_proving`). The start is the first level above
+    lb with more than 4 * C(n, 2) subsets, a count of plain binomials. The
+    scan checks the levels below it as before, so a solve whose witness
+    lies there builds no table. From the start on, a level is empty
+    exactly when no set of that size separates every pair (`_separable`);
+    a larger set resolves whenever a smaller one does, so the first level
+    it does not rule out is the value, and its walk over the pair tables
+    (`descend`), steered by the same branch and bound, finds the lex-least
+    witness.
     """
     if n < 12 or not _counting_idle(rows, n):
         # The class-count bound works, or the solve is small.

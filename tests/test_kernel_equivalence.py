@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from dataclasses import replace
 from functools import reduce
 from itertools import combinations, count, product, repeat
 from math import comb
@@ -392,7 +393,11 @@ def test_cover_proof_keeps_every_field(monkeypatch):
 
     def spy(seps, covers, caps, budget, open_, avail):
         found = separable(seps, covers, caps, budget, open_, avail)
-        ruled_out.append(not found)
+        # A level's proof is the root call: every pair open, every
+        # landmark available. The walk of a level it does not rule out
+        # calls the branch and bound below the root too.
+        if open_ == (1 << len(seps)) - 1 and avail == (1 << len(caps)) - 1:
+            ruled_out.append(not found)
         return found
 
     monkeypatch.setattr(solvers, "_separable", spy)
@@ -411,6 +416,44 @@ def test_cover_proof_keeps_every_field(monkeypatch):
         assert listed == enumerate_min_broadcasts(g, d), label
         if by_oracle:
             assert _fields(new) == _fields(seed_oracle.solve_bdim(g, d)), label
+
+
+def _walk_solves(g, d):
+    """dim, adim, dim_2 and bdim of g, with their checked and built counts
+    left out, and the enumerator's list."""
+    solved = (solve_dim(g, d), solve_adim(g, d), solve_dim_k(g, 2, d), solve_bdim(g, d))
+    return [replace(res, candidates_checked=0, nodes_built=0) for res in solved], enumerate_min_broadcasts(g, d), solved
+
+
+def test_forced_walk_keeps_every_field(monkeypatch):
+    # With the proof and the walk forced on every level of every solve,
+    # and forced off (the pure code scan), every field but the checked and
+    # built counts is equal, and so is the enumerator's list. Forced on,
+    # each level goes to the pair-cover proof, which counts it whole or
+    # walks it over the covers: no node's codes are built, except where a
+    # set starts at level n - 1, which always resolves and is scanned. The
+    # graphs are every labelled graph of order 5 or less and the seeded
+    # random graphs and trees of orders 6 to 9.
+    graphs = list(labelled_graphs(5)) + _seeded_graphs()
+    walked = []
+    # Order 1 has no pair to separate.
+    monkeypatch.setattr(solvers, "_proving", lambda n, broadcast: n > 1)
+    monkeypatch.setattr(solvers, "_proof_first", lambda n, slack: True)
+    monkeypatch.setattr(solvers, "_level_proof", lambda rows, n, lb: lb if _counting_idle(rows, n) else None)
+    for g in graphs:
+        d = all_pairs_distances(g)
+        fields, listed, solved = _walk_solves(g, d)
+        walked.append((fields, listed))
+        for res in solved:
+            if g.n > 1 and (res.kind == "bdim" or res.lower_bound_used < g.n - 1):
+                assert res.nodes_built == 0, (res.kind, g.n, g.edges())
+    monkeypatch.setattr(solvers, "_proving", lambda n, broadcast: False)
+    monkeypatch.setattr(solvers, "_level_proof", lambda rows, n, lb: None)
+    for g, (fields, listed) in zip(graphs, walked):
+        d = all_pairs_distances(g)
+        scanned, scanned_list, _ = _walk_solves(g, d)
+        assert fields == scanned, f"n={g.n} edges={g.edges()}"
+        assert listed == scanned_list, f"n={g.n} edges={g.edges()}"
 
 
 def test_pair_separation_test_matches_the_scan():
@@ -611,7 +654,7 @@ def _reference_pair_tables(rows):
 
 
 def test_pair_tables_match_the_reference_where_solves_build_them():
-    # The solver builds tables from order 12 on: G(n, p) and random trees
+    # Set solves build tables from order 11 on: G(n, p) and random trees
     # of orders 12 to 30, each at k = 1, 2 and n - 1, give the reference's
     # tables, pair order and all.
     rng = random.Random(19960912)
@@ -650,9 +693,10 @@ def test_pair_tables_with_two_byte_entries():
 
 
 def test_plain_set_solves_build_no_pair_table(monkeypatch):
-    # The tables wait for orders of 12 and more: no plain set solve of the
-    # graphs the steered walk is compared on above, or of G(11, p), builds
-    # one.
+    # A set solve's tables wait for order 11 when its class-count bound
+    # works, and for order 12 when the bound is idle: no plain set solve of
+    # the graphs the steered walk is compared on above, or of G(11, p),
+    # whose bounds are all idle, builds one.
     def refuse(rows):
         raise AssertionError("pair table built")
 
@@ -742,11 +786,13 @@ def test_solves_that_prove_levels_empty():
         # The idle rule keeps the class-count bound off, so the proof made
         # the gap.
         assert _counting_idle([truncated_row(row, k, g.n) for row in d.dist], g.n)
-    # The class-count bound works on adim of C17 and P17, so the proof
-    # leaves them alone; the bound and the split cut leave these
-    # candidates checked.
-    assert solve_adim(families.cycle(17)).candidates_checked == 172
-    assert solve_adim(families.path(17)).candidates_checked == 176
+    # The class-count bound works on adim of C17 and P17, so, from order
+    # 11 on, the bound is made before the first level to price each
+    # level's slack. The slack stays below n/2 on every level, so no level
+    # goes to the proof: the bound, made from the first node on, and the
+    # split cut leave these candidates checked.
+    assert solve_adim(families.cycle(17)).candidates_checked == 19
+    assert solve_adim(families.path(17)).candidates_checked == 23
 
 
 def test_no_pair_table_when_the_scan_ends_first(monkeypatch):

@@ -397,22 +397,29 @@ def test_solver_stats_present():
 def test_nodes_built_counts_the_code_scan():
     # A solve of order 2 or less checks its leaves and builds no node's
     # codes; bdim of C16, whose class-count bound is made before its first
-    # level, builds the codes of 1,458 nodes.
+    # level, builds the codes of 1,458 nodes. The slack of bdim on C20 and
+    # P20 stays below n/2, so every level of theirs is scanned by codes.
     for g in labelled_graphs(2):
         d = all_pairs_distances(g)
         for res in (solve_dim(g, d), solve_adim(g, d), solve_dim_k(g, 2, d), solve_bdim(g, d)):
             assert res.nodes_built == 0, (res.kind, g.n, g.edges())
     assert solve_bdim(families.cycle(16)).nodes_built == 1458
+    scanned = [solve_bdim(families.cycle(20)), solve_bdim(families.path(20))]
+    assert [(res.candidates_checked, res.nodes_built) for res in scanned] == [(350, 16516), (30, 5105)]
     # Trees with twin leaves, where the twin rule bounds and steers the
     # walk: (candidates checked, nodes built). The first two have one
     # group of three and two groups of two, and the pair-cover proof
     # counts bdim's empty levels 4 to 6 of the first and level 5 of the
-    # second whole, after which the split cut tests every node; dim of
-    # random_tree(28, 1) meets its twin groups on the pair-table walk.
+    # second whole, and finds a cover of the value: that level is walked
+    # over the covers, and builds no node; the second builds its 58 on
+    # level 4, which it scans. adim of random_tree(20, 2) scans levels 2
+    # to 7, proves level 8 empty and walks its value 9 over the pair
+    # tables, and dim of random_tree(28, 1) meets its twin groups on the
+    # pair-table walk.
     for solve, g, counts in (
-        (solve_bdim, families.random_tree(14, 1), (92, 128)),
-        (solve_bdim, families.random_tree(14, 0), (1324, 2062)),
-        (solve_adim, families.random_tree(20, 2), (197, 5669)),
+        (solve_bdim, families.random_tree(14, 1), (14, 0)),
+        (solve_bdim, families.random_tree(14, 0), (15, 58)),
+        (solve_adim, families.random_tree(20, 2), (20, 937)),
         (solve_dim, families.random_tree(28, 1), (26, 3)),
     ):
         res = solve(g)
