@@ -57,9 +57,11 @@ number of vectors of cost r on the vertices above z within the caps
 (`_cost_ways`). The table is made on the solve's first count and remade
 at each later level, one running sum per vertex above the highest twin
 member. Every other count comes from the same walk run in its counting
-mode, which builds no code, checks no leaf and memoises each count.
-`candidates_examined` is therefore unchanged, and `candidates_checked`
-says how many had their codes compared.
+mode, which builds no code, checks no leaf and memoises each count; a
+node whose cheapest completion meets the counting condition shares its
+entry with every such node at the same vertex, cost and free twin
+members. `candidates_examined` is therefore unchanged, and
+`candidates_checked` says how many had their codes compared.
 
 The bound's tables are made once per solve, when the scan has built as
 many nodes as there are strength rows (`_bound_gate`), or before the
@@ -94,6 +96,24 @@ whose bound works takes bdim's rule below. The walk examines the same
 candidates as the scan, so the counts stay the same; `candidates_checked`
 leaves out the proved subtrees and levels too.
 
+Before any of that, a set solve from order 7 on (`_floored`) counts the
+levels below its counting floor: the least k with k + b**k >= n, for the
+b distinct nonzero entries of its rows. The n - k vertices outside a set
+of k landmarks have codes of k entries among those b values, so no
+smaller set resolves. This is the landmark floor n <= D**k + k of
+Khuller, Raghavachari and Rosenfeld with b for the diameter D, and b
+covers the truncation at k + 1 and the sentinel n of a disconnected
+graph alike. The floor proves those levels empty as the branch and bound
+proves a level, and the scan starts at the floor; lb, and so
+`lower_bound_used`, stays the twin bound. A skipped level leaves the
+near-miss rule above as a scanned level with no near miss would, and,
+unlike a level the branch and bound rules out, does not open the split
+cut's gate (below). Every set level proved empty, by the floor or by the
+branch and bound, is counted in closed form, not by the counting walk:
+its candidates are the subsets of its size that leave at most one member
+of each twin group out, the coefficient of that size in the twin rule's
+subset polynomial (`_twin_subsets`).
+
 bdim is the weighted case of the same hitting set: z at strength i
 separates x and y exactly when their entries in row (z, i) differ, and
 what z separates only grows with i, up to its cap. `_pair_tables` builds
@@ -109,14 +129,15 @@ the level, then walk it. From the order `_proving` sets, 10 for bdim and
 11 for sets, each level whose class-count slack (`_class_slack`: how
 many classes the best root child could add beyond the n - 1 the root
 misses) is at least n/2 (`_proof_first`) goes to that proof first. A
-level it rules out is counted whole by the walk in counting mode and
-never scanned. A level it does not rule out holds a resolving vector, so
-it is the value, and it is walked over the covers, not scanned by codes:
-a set's by `descend`, a broadcast's by `bdescend`, which is `extend`'s
-child loop with the open pairs that row (z, v) leaves,
-`open & ~covers[v - 1][z]`, in place of codes, in the same order and
-with the same twin debt and counting-condition break. `enumerate_min_broadcasts` collects
-every resolving vector of that walk. Only `candidates_checked` and
+level it rules out is counted whole, a broadcast's by the walk in
+counting mode and a set's in closed form, and never scanned. A level it
+does not rule out holds a resolving vector, so it is the value, and it
+is walked over the covers, not scanned by codes: a set's by `descend`, a
+broadcast's by `bdescend`, which is `extend`'s child loop with the open
+pairs that row (z, v) leaves, `open & ~covers[v - 1][z]`, in place of
+codes, in the same order and with the same twin debt and
+counting-condition break. `enumerate_min_broadcasts` collects every
+resolving vector of that walk. Only `candidates_checked` and
 `nodes_built` change. Where the slack is smaller, as on every level of
 cycles and paths measured, the class-count bound already cuts the scan:
 proving every level made C20, P20 and C22 2 to 4.4 times slower.
@@ -167,7 +188,7 @@ class SolverResult:
     # counted at leaves or in subtrees that the class-count bound, the
     # split cut or the pair-separation branch and bound skipped, or in
     # levels that branch and bound showed empty, for bdim over the covers
-    # per strength.
+    # per strength, or, for a set, in levels below its counting floor.
     candidates_checked: int
     # The nodes of the code scan whose codes were built; the walks over
     # the pair tables and a level proved empty build none.
@@ -314,6 +335,40 @@ def _proving(n: int, broadcast: bool) -> bool:
     return n >= (10 if broadcast else 11)
 
 
+def _floored(n: int) -> bool:
+    """Whether a set solve of order n counts the levels below its counting
+    floor whole instead of scanning them: from order 7 on. Below that the
+    floor skips at most a level or two of a few dozen candidates, and
+    finding the floor and the count costs more than their scan.
+
+    The gate is the least order at which the floor pays, swept in-process
+    on 60 G(n, p) (p from 0.25 to 0.55) and 40 random trees per order and
+    seed, dim, adim and dim_2 each, floor off against on, each solve the
+    minimum of 3 interleaved runs: at order 7 they took 8.0 against 5.9 ms
+    and 8.1 against 6.4 (adim 40-47% faster, dim and dim_2 1-6%), at order
+    8 13.5 against 10.7 and 12.6 against 10.4; at order 6 5.5 against 5.9
+    and 5.1 against 5.5, and at order 5 4.3 against 4.7 and 3.5 against
+    4.0.
+    """
+    return n >= 7
+
+
+def _twin_subsets(n: int, masks: Sequence[int]) -> list[int]:
+    """Return counts[s] for 0 <= s <= n: how many s-subsets of the n
+    vertices leave at most one member of each twin group out, the groups
+    given as bitmasks `masks` of two or more members. They are the
+    candidates of set level s, the coefficients of the twin rule's subset
+    polynomial: (1 + x) for each vertex outside the groups, times
+    x**m + m * x**(m - 1) for each group of m, which takes all m members or
+    all but one."""
+    alone = n - sum(mask.bit_count() for mask in masks)
+    counts = [comb(alone, s) for s in range(alone + 1)]
+    for mask in masks:
+        m = mask.bit_count()
+        counts = [0] * (m - 1) + list(map(add, [m * c for c in counts] + [0], [0] + counts))
+    return counts
+
+
 def _split_classes(rows, caps: Sequence[int], base: int, r: int) -> list[list[int]]:
     """Return classes[z][x]: the lowest vertex that no landmark w > z, at
     strength min(r, caps[w]), splits from x, for r < len(rows). Codes that
@@ -349,6 +404,13 @@ def _search(
     counted, and a level it does not rule out holds a resolving vector: it
     is walked over the covers (`descend` for a set, `bdescend` for a
     broadcast) to the lex-least one, or with `collect` to all of them.
+
+    A set solve of an order that `_floored` admits proves the levels below
+    its counting floor empty without a scan, as if `_separable` had ruled
+    them out, and starts at the floor: the least k with k + b**k >= n, b
+    the distinct nonzero entries of `rows[1]`. Each skipped level counts
+    as scanned with no near miss. A set level proved empty either way is
+    counted in closed form (`_twin_subsets`).
 
     A vector is built one support vertex at a time: each step picks the
     next vertex z above the previous one and a strength 1 <= v <= caps[z],
@@ -404,11 +466,16 @@ def _search(
     # `_counting_idle`. Until then they are None, and every node misses 0
     # classes as far as the walk knows, so it reads neither.
     gain = above = best = None
+    # A set's counting floor, for the b distinct nonzero entries of its
+    # rows (each row has one 0): the levels below it are counted whole.
+    floor = lb
+    if not broadcast and _floored(n):
+        floor = max(lb, counting_floor(n, len(set().union(*ones)) - 1))
     # A solve that `_proving` lets prove its levels makes them before its
     # first level, where each level's class-count slack decides whether the
     # cover proof runs first: bdim, and a set whose class-count bound works
-    # and whose lb is below n - 1, a level that always resolves.
-    proving = _proving(n, broadcast) and (broadcast or lb < n - 1 and not _counting_idle(ones, n))
+    # and whose floor is below n - 1, a level that always resolves.
+    proving = _proving(n, broadcast) and (broadcast or floor < n - 1 and not _counting_idle(ones, n))
     bound_gate = 0 if proving else _bound_gate(caps)
     level = 0
     # The cost table: ways[i][r] of `_cost_ways` for r <= level and the
@@ -427,12 +494,13 @@ def _search(
     gate = 0
     # A broadcast's lb is at least counting_floor(n, 2), so each level has
     # vectors that meet the counting condition.
-    levels = count(lb) if broadcast else range(lb, n)
+    levels = count(lb) if broadcast else range(floor, n)
     proof = None if broadcast else _level_proof(ones, n, lb)
     # A checked leaf resolves, or on a level scanned from proof - 1 on
     # comes within 2 classes of resolving, when its codes have at least
-    # `close` classes. A start at lb has no level before it to come close.
-    close = n - 2 if proof == lb else n
+    # `close` classes. A start at lb has no level before it to come close,
+    # and a level below the floor is empty with no near miss.
+    close = n - 2 if proof is not None and proof <= floor else n
 
     def make_bound() -> None:
         nonlocal gain, above, best, bound_gate
@@ -454,15 +522,22 @@ def _search(
         vector unless it collects. With `codes` None it counts every
         candidate below instead, builds no code, and memoises the count on
         what the walk reads: |supp| and the product only matter up to
-        `need`. Its first such call makes the cost table, and its children,
-        like every cut child, take their counts from the table where it
-        applies.
+        `need`, and not at all once the cheapest completion, all of `rem`
+        on one vertex, meets the counting condition, for then every
+        completion does. Its first such call makes the cost table, and its
+        children, like every cut child, take their counts from the table
+        where it applies.
         """
         nonlocal checked, built, close, ways, clear
         if codes is None:
             if ways is None:
                 clear = members.bit_length() - 1  # the highest twin-group member
                 ways = _cost_ways(caps, level, clear + 1)
+            if supp + 1 + weight * (rem + 1) >= need:
+                # Every completion meets the counting condition, the
+                # cheapest, all of rem on one vertex, among them: the count
+                # is that of every other such state.
+                supp = weight = need
             key = (last, rem, min(supp, need), min(weight, need), free)
             total = memo.get(key)
             if total is not None:
@@ -695,7 +770,7 @@ def _search(
             return total
 
     start = [0] * n
-    examined = 0
+    examined = sum(_twin_subsets(n, masks)[lb:floor]) if floor > lb else 0
     ruled_out = False  # some level was proved empty by `_separable`
     for cost in levels:
         # A node reads best[r] for the cost r left below it, r < cost, and
@@ -719,7 +794,7 @@ def _search(
                 seps, *covers = _pair_tables(*(tables or (ones,)))
             everything = (1 << len(seps)) - 1
             if not _separable(seps, covers, caps, cost, everything, top - 1):
-                examined += tally(-1, cost, 0, 1, members)
+                examined += tally(-1, cost, 0, 1, members) if broadcast else _twin_subsets(n, masks)[cost]
                 ruled_out = True
                 continue
             # Some vector of this cost resolves: walk the level to it, with

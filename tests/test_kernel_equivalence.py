@@ -43,8 +43,10 @@ from resolvedim.solvers import (
     _pair_tables,
     _separable,
     _twin_debt,
+    _twin_subsets,
     broadcast_value_caps,
 )
+from resolvedim.resolution import counting_floor
 from resolvedim.verify import labelled_graphs
 
 
@@ -113,6 +115,30 @@ def _assert_same_solves(g, d=None, enum_oracle=None):
     for run in (plain, forced):
         assert run["enum"] == enum_oracle, f"n={g.n} edges={g.edges()}"
     return plain, forced, steered
+
+
+def _twin_rule_subsets(n, groups, size):
+    """The size-subsets of range(n) that leave at most one member of each
+    group out, by brute force."""
+    return sum(all(len(set(grp) - set(s)) <= 1 for grp in groups) for s in combinations(range(n), size))
+
+
+def _floor_of(d, k):
+    """The counting floor of the landmark rows of d truncated at k + 1, by
+    its definition: the least size s with s + b**s >= n, for the b
+    distinct nonzero entries of the rows."""
+    n = len(d.dist)
+    b = len({e for row in d.dist for e in truncated_row(row, k, n)} - {0})
+    return next(s for s in count(1) if s + b**s >= n)
+
+
+def _below_floor(g, d, k):
+    """The candidates on the levels below the counting floor of g's
+    landmark rows truncated at k + 1, from the twin bound up: the
+    twin-rule subsets of each size, by brute force. A set solve from order
+    7 on counts these levels without checking them."""
+    lb = max(1, d.twins.forced_minimum())
+    return sum(_twin_rule_subsets(g.n, d.twins.groups, s) for s in range(lb, _floor_of(d, k)))
 
 
 def _unchecked(plain, forced):
@@ -251,6 +277,114 @@ def test_cost_ways_match_a_brute_force_count():
         assert _cost_ways(ones, upto) == [[comb(length - i, r) for r in range(upto + 1)] for i in range(length + 1)]
 
 
+def test_twin_subsets_match_a_brute_force_count():
+    # A set level proved empty is counted in closed form, from the twin
+    # rule's subset polynomial: size by size, it gives the subsets that
+    # leave at most one member of each twin group out, counted by brute
+    # force, on every labelled graph of order 5 or less and on the first 8
+    # seeded random trees of each order 6 to 9 whose twin groups force two
+    # or more landmarks.
+    trees = []
+    for n in range(6, 10):
+        forced = (t for t in map(families.random_tree, repeat(n), count()) if twin_partition(t).forced_minimum() >= 2)
+        trees += [next(forced) for _ in range(8)]
+    for g in list(labelled_graphs(5)) + trees:
+        groups = twin_partition(g).groups
+        masks = [sum(1 << v for v in grp) for grp in groups if len(grp) > 1]
+        assert _twin_subsets(g.n, masks) == [_twin_rule_subsets(g.n, groups, s) for s in range(g.n + 1)], g.edges()
+
+
+def _floored_sets(g, d):
+    """dim, adim and dim_2 of g, with their truncations."""
+    return (solve_dim(g, d), g.n - 1), (solve_adim(g, d), 1), (solve_dim_k(g, 2, d), 2)
+
+
+def _oracle_sets(g, d):
+    """The oracle's dim, adim and dim_2 of g."""
+    return seed_oracle.solve_dim(g, d), seed_oracle.solve_dim_k(g, 1, d), seed_oracle.solve_dim_k(g, 2, d)
+
+
+def test_counting_floor_keeps_every_field(monkeypatch):
+    # A set solve counts the levels below its counting floor whole, without
+    # scanning them. dim, adim and dim_2 keep every field but the checked
+    # and built counts, against the oracle and against the solve with the
+    # floor off: on every labelled graph of order 5 or less, with the floor
+    # on at every order, and on seeded dense G(n, p) of orders 9 to 40 (the
+    # oracle up to order 20, past which its scans take seconds).
+    rng = random.Random(20261021)
+    dense = [
+        families.random_graph(n, rng.uniform(0.5, 0.75), rng.randrange(2**31))
+        for n in (9, 10, 11, 12, 14, 16, 18, 20, 25, 30, 35, 40)
+        for _ in range(3)
+    ]
+    floored = []
+    raised = Counter()
+    for g in list(labelled_graphs(5)) + dense:
+        if g.n == 1:
+            continue
+        d = all_pairs_distances(g)
+        with monkeypatch.context() as mp:
+            if g.n <= 5:
+                mp.setattr(solvers, "_floored", lambda n: True)
+            solved = _floored_sets(g, d)
+        floored.append((g, d, solved))
+        raised[g.n <= 5] += sum(_floor_of(d, k) > max(1, d.twins.forced_minimum()) for _, k in solved)
+        if g.n <= 20:
+            for (res, _), oracle in zip(solved, _oracle_sets(g, d)):
+                assert _fields(res) == _fields(oracle), f"{res.kind} on n={g.n} edges={g.edges()}"
+    # The floor lies above the twin bound in 1,956 of the 3,294 labelled
+    # solves of orders 2 to 5 and in all 108 dense ones.
+    assert raised == {True: 1956, False: 108}
+    monkeypatch.setattr(solvers, "_floored", lambda n: False)
+    for g, d, solved in floored:
+        for (res, _), off in zip(solved, _floored_sets(g, d)):
+            assert _fields(res) == _fields(off[0]), f"{res.kind} on n={g.n} edges={g.edges()}"
+
+
+def test_levels_below_the_floor_build_and_check_nothing(monkeypatch):
+    # A set search started at lb below its counting floor checks the same
+    # candidates and builds the same nodes as the same search started at
+    # the floor: the levels below are counted, and their candidates, by
+    # brute force, are all it adds to those examined. The start of the
+    # walk over the pair tables is patched off, since it is picked from
+    # where the search starts. Seeded G(n, p) and random trees of orders 9
+    # to 14, each at k = 1, 2 and n - 1.
+    monkeypatch.setattr(solvers, "_level_proof", lambda rows, n, lb: None)
+    rng = random.Random(19960101)
+    graphs = [families.random_graph(n, rng.uniform(0.3, 0.7), rng.randrange(2**31)) for n in range(9, 15) for _ in range(3)]
+    graphs += [families.random_tree(n, rng.randrange(2**31)) for n in range(9, 15) for _ in range(2)]
+    compared = 0
+    for g in graphs:
+        n = g.n
+        d = all_pairs_distances(g)
+        lb = max(1, d.twins.forced_minimum())
+        for k in (1, 2, n - 1):
+            rows = [truncated_row(row, k, n) for row in d.dist]
+            floor = _floor_of(d, k)
+            if floor <= lb:
+                continue
+            full = solvers._search((None, rows), (1,) * n, lb, d.twins.groups)
+            start = solvers._search((None, rows), (1,) * n, floor, d.twins.groups)
+            cost, examined, checked, built, found = full
+            assert (cost, checked, built, found) == (start[0], *start[2:]), f"k={k} n={n} edges={g.edges()}"
+            assert examined == start[1] + _below_floor(g, d, k), f"k={k} n={n} edges={g.edges()}"
+            compared += 1
+    assert compared == 86
+
+
+def test_complete_graphs_sit_on_their_counting_floor():
+    # Every nonzero entry of a complete graph's rows is 1, so at any
+    # truncation the counting floor is counting_floor(n, 1) = n - 1: the
+    # twin bound, as all n vertices are twins, and the value.
+    for n in range(2, 13):
+        g = families.complete(n)
+        d = all_pairs_distances(g)
+        assert set().union(*d.dist) == {0, 1}
+        assert counting_floor(n, 1) == n - 1 == d.twins.forced_minimum()
+        for res, _ in _floored_sets(g, d):
+            assert (res.value, res.lower_bound_used) == (n - 1, n - 1), (res.kind, n)
+
+
 def test_twin_debt_matches_the_twin_rule():
     # The twin rule: a vector leaves at most one member of each twin group
     # at strength 0. At a node whose last support vertex is `last` and
@@ -327,21 +461,25 @@ def test_cycle_and_path_of_order_10():
 def test_class_count_cut_counts_what_it_skips():
     # Cycles and paths where the class-count bound or the split cut skips
     # subtrees: the count of what they skipped must keep every field
-    # equal to the oracle's.
+    # equal to the oracle's. A set solve also counts the levels below its
+    # counting floor without checking them, cut or no cut, so a cut shows
+    # as fewer candidates checked than those examined on the other levels.
     c12, c13, c14, c16 = (families.cycle(n) for n in (12, 13, 14, 16))
     p12, p14 = families.path(12), families.path(14)
-    cases = [(solve_bdim, seed_oracle.solve_bdim, g, True) for g in (c12, c13, p12)]
+    cases = [(solve_bdim, seed_oracle.solve_bdim, None, g, True) for g in (c12, c13, p12)]
     adim, adim_oracle = solve_adim, lambda g, d: seed_oracle.solve_dim_k(g, 1, d)
-    cases += [(adim, adim_oracle, g, True) for g in (c12, c14, p12, p14)]
+    cases += [(adim, adim_oracle, 1, g, True) for g in (c12, c14, p12, p14)]
     dim2, dim2_oracle = (lambda g, d: solve_dim_k(g, 2, d)), (lambda g, d: seed_oracle.solve_dim_k(g, 2, d))
     # On C12 neither cut skips a subtree; on C14 and C16 the class-count
     # bound does.
-    cases += [(dim2, dim2_oracle, g, g.n > 12) for g in (c12, c14, c16)]
-    for solve, oracle, g, cuts in cases:
+    cases += [(dim2, dim2_oracle, 2, g, g.n > 12) for g in (c12, c14, c16)]
+    for solve, oracle, k, g, cuts in cases:
         d = all_pairs_distances(g)
         new = solve(g, d)
         assert _fields(new) == _fields(oracle(g, d)), f"{new.kind} on n={g.n} edges={g.edges()}"
-        assert (new.candidates_checked < new.candidates_examined) == cuts
+        below = 0 if k is None else _below_floor(g, d, k)
+        assert (k is None) == (below == 0), f"{new.kind} on n={g.n}"
+        assert (new.candidates_checked < new.candidates_examined - below) == cuts, f"{new.kind} on n={g.n}"
     # The enumerator cuts on C10 and P10 too, and must still list every
     # minimum broadcast.
     for g in (families.cycle(10), families.path(10)):
@@ -715,7 +853,9 @@ def test_proof_starts_early_unless_the_level_before_comes_close(monkeypatch):
     # resolving, so the tables prove levels 3 and 4 empty and steer the
     # walk of level 5. dim of this G(12, 0.5) is 4, its first such level:
     # a 3-set comes within 2 classes, so level 4 is scanned too, finds the
-    # witness and builds no table.
+    # witness and builds no table. Its diameter is 3, so its counting
+    # floor is 3: levels 1 and 2 are counted, and every candidate from
+    # level 3 on is checked.
     roots = []
     separable = solvers._separable
 
@@ -733,22 +873,41 @@ def test_proof_starts_early_unless_the_level_before_comes_close(monkeypatch):
     def refuse(rows):
         raise AssertionError("pair table built")
 
+    pair_tables = solvers._pair_tables
     monkeypatch.setattr(solvers, "_pair_tables", refuse)
     g12 = families.random_graph(12, 0.5, 12013)
-    assert solvers._level_proof(all_pairs_distances(g12).dist, 12, 1) == 4
-    res = solve_dim(g12)
-    assert (res.value, res.candidates_checked) == (4, res.candidates_examined)
+    d12 = all_pairs_distances(g12)
+    assert solvers._level_proof(d12.dist, 12, 1) == 4
+    res = solve_dim(g12, d12)
+    below = _below_floor(g12, d12, 11)
+    assert below == 12 + comb(12, 2)
+    assert (res.value, res.candidates_checked) == (4, res.candidates_examined - below)
 
     # A near miss can defer the walk again. dim of this G(12, 0.6) is 5:
     # a 3-set and a 4-set each come within 2 classes of resolving, so
-    # levels 4 and 5 are scanned too and no table is built.
+    # without the counting floor levels 4 and 5 are scanned too and no
+    # table is built.
     g12 = families.random_graph(12, 0.6, 120142)
-    rows = all_pairs_distances(g12).dist
+    d12 = all_pairs_distances(g12)
+    rows = d12.dist
     assert solvers._level_proof(rows, 12, 1) == 4
     for size in (3, 4):
         assert max(len(set(zip(*(rows[z] for z in s)))) for s in combinations(range(12), size)) >= 10
-    res = solve_dim(g12)
+    with monkeypatch.context() as mp:
+        mp.setattr(solvers, "_floored", lambda n: False)
+        res = solve_dim(g12, d12)
     assert res.value == 5
+    # Its diameter is 2, so its counting floor is 4 (3 + 2**3 < 12): level
+    # 3 is counted whole, with no scan to come close, as a scanned level
+    # with no near miss would leave it, and the tables prove level 4 empty
+    # and steer the walk of level 5 to its first leaf.
+    monkeypatch.setattr(solvers, "_pair_tables", pair_tables)
+    del roots[:]
+    floored = solve_dim(g12, d12)
+    assert _fields(floored) == _fields(res)
+    assert roots == [4, 5]
+    assert (floored.candidates_checked, floored.nodes_built) == (1, 0)
+    assert _below_floor(g12, d12, 11) == 12 + comb(12, 2) + comb(12, 3)
 
 
 def test_twin_forced_trees_prove_their_levels_early():
