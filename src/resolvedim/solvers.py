@@ -74,27 +74,41 @@ For sets, the exponential part of a solve is mostly the proof that no
 smaller set resolves, not the search for the witness. A set resolves
 exactly when it holds, for every pair of vertices, a landmark whose row
 separates them: a hitting set over pairs (Khuller, Raghavachari and
-Rosenfeld, 1996). dim, dim_k and adim walk some levels over the pair
-tables (`_pair_tables`) instead of codes (`descend`): each node carries
-the bitmask of the pairs still open, a leaf resolves when its landmark
-separates all of them, and the candidates below a child with cost r >= 2
-left are counted, as below a cut, when a branch and bound over those
-tables (`_separable`, all caps 1) shows that no r landmarks above it
-separate them. The tables number the pairs by ascending count of
-separators, so the branch and bound branches on the lowest open pair,
-the rarest, with one big-int step per branch and none per open pair. At
-the root, before the walk, that is the proof that the level is empty,
-which counts the level whole; below it, it steers the walk to the
-lex-least witness. These levels run neither the class-count bound nor
-the split cut: the branch and bound fails wherever an open pair has no
-separator above the node. While the class-count bound is idle, from
-n >= 12, the walk starts at the first level above the first one scanned
-that has more than 4 * C(n, 2) subsets (`_level_proof`). A level whose
-predecessor's scan checked a leaf within 2 classes of resolving is
-scanned instead, so each near miss defers the walk by one level. A set
-whose bound works takes bdim's rule below. The walk examines the same
-candidates as the scan, so the counts stay the same; `candidates_checked`
-leaves out the proved subtrees and levels too.
+Rosenfeld, 1996). bdim is the weighted case of the same hitting set: z
+at strength i separates x and y exactly when their entries in row (z, i)
+differ, and what z separates only grows with i, up to its cap.
+`_pair_tables` builds one covers list per strength under one numbering
+of the pairs, a set's one list being the one-strength case, numbered by
+ascending count of separators. A branch and bound over them,
+`_separable`, decides whether strengths of total cost at most L
+separate every pair: it branches on the lowest open pair, the rarest,
+and raises each of its separators to the strength from which it
+separates that pair, with one big-int step per branch and none per open
+pair.
+
+One rule serves all four parameters: prove the level, then walk it.
+From the order `_proving` sets, 10 for bdim and 11 for sets, a level
+goes to that proof first (`_proof_first`) when its class-count slack
+(`_class_slack`: how many classes the best root child could add beyond
+the n - 1 the root misses, n for an idle bound) is at least n/2 and, for
+a set, the level has more than 4 * C(n, 2) subsets. A level it rules out
+is counted whole, a broadcast's by the walk in counting mode and a
+set's in closed form, and never scanned. A level it does not rule out
+holds a resolving vector, so it is the value, and it is walked over the
+covers, not scanned by codes (`descend`): `extend`'s child loop with the
+open pairs that row (z, v) leaves, `open & ~covers[v - 1][z]`, in place
+of codes, in the same order and with the same twin debt and
+counting-condition break. Below the root, a child with cost r >= 2 left
+whose open pairs no cost r above it can separate is counted, as below a
+cut; the rest steer the walk to the lex-least witness, and
+`enumerate_min_broadcasts` collects every resolving vector of the walk.
+These levels run neither the class-count bound nor the split cut. The
+walk examines the same candidates as the scan, so only
+`candidates_checked` and `nodes_built` change. Where the slack is
+smaller, as on every level of cycles and paths measured, the class-count
+bound already cuts the scan: proving every level made C20, P20 and C22 2
+to 4.4 times slower. A set level with few subsets is cheaper to scan
+than the pair tables are to build.
 
 Before any of that, a set solve from order 7 on (`_floored`) counts the
 levels below its counting floor: the least k with k + b**k >= n, for the
@@ -105,42 +119,13 @@ Khuller, Raghavachari and Rosenfeld with b for the diameter D, and b
 covers the truncation at k + 1 and the sentinel n of a disconnected
 graph alike. The floor proves those levels empty as the branch and bound
 proves a level, and the scan starts at the floor; lb, and so
-`lower_bound_used`, stays the twin bound. A skipped level leaves the
-near-miss rule above as a scanned level with no near miss would, and,
-unlike a level the branch and bound rules out, does not open the split
-cut's gate (below). Every set level proved empty, by the floor or by the
-branch and bound, is counted in closed form, not by the counting walk:
-its candidates are the subsets of its size that leave at most one member
-of each twin group out, the coefficient of that size in the twin rule's
+`lower_bound_used`, stays the twin bound. Unlike a level the branch and
+bound rules out, a skipped level does not open the split cut's gate
+(below). Every set level proved empty, by the floor or by the branch and
+bound, is counted in closed form, not by the counting walk: its
+candidates are the subsets of its size that leave at most one member of
+each twin group out, the coefficient of that size in the twin rule's
 subset polynomial (`_twin_subsets`).
-
-bdim is the weighted case of the same hitting set: z at strength i
-separates x and y exactly when their entries in row (z, i) differ, and
-what z separates only grows with i, up to its cap. `_pair_tables` builds
-one covers list per strength under one numbering of the pairs, a set's
-one list being the one-strength case, and the same `_separable`, with
-bdim's caps and every landmark available, decides whether strengths of
-total cost at most L separate every pair: it branches on the lowest open
-pair and raises each of its separators to the strength from which it
-separates that pair.
-
-One rule serves bdim and the sets whose class-count bound works: prove
-the level, then walk it. From the order `_proving` sets, 10 for bdim and
-11 for sets, each level whose class-count slack (`_class_slack`: how
-many classes the best root child could add beyond the n - 1 the root
-misses) is at least n/2 (`_proof_first`) goes to that proof first. A
-level it rules out is counted whole, a broadcast's by the walk in
-counting mode and a set's in closed form, and never scanned. A level it
-does not rule out holds a resolving vector, so it is the value, and it
-is walked over the covers, not scanned by codes: a set's by `descend`, a
-broadcast's by `bdescend`, which is `extend`'s child loop with the open
-pairs that row (z, v) leaves, `open & ~covers[v - 1][z]`, in place of
-codes, in the same order and with the same twin debt and
-counting-condition break. `enumerate_min_broadcasts` collects every
-resolving vector of that walk. Only `candidates_checked` and
-`nodes_built` change. Where the slack is smaller, as on every level of
-cycles and paths measured, the class-count bound already cuts the scan:
-proving every level made C20, P20 and C22 2 to 4.4 times slower.
 
 The split cut also works by pairs, inside the code scan, for all four
 parameters. Below a node whose last support vertex is z, with cost
@@ -215,8 +200,8 @@ def _counting_idle(ones, n: int) -> bool:
     classes. Cost r >= 2 may then add n - 2 classes by that row's gain
     alone, and every node below the root has 2 classes already, so the
     class-count bound can price a node out only where few rows are left
-    above it: the scan leaves it off, and for sets `_level_proof` may run
-    in its place."""
+    above it: the scan leaves it off, and its slack counts as n
+    (`_class_slack`)."""
     return any(2 * _row_gain(row, n) >= n - 2 for row in ones)
 
 
@@ -301,23 +286,27 @@ def _class_slack(gain, best, caps: Sequence[int], cost: int) -> int:
     return max(gain[v][z] + best[cost - v][z] for z in range(n) for v in range(1, min(caps[z], cost) + 1)) - (n - 1)
 
 
-def _proof_first(n: int, slack: int) -> bool:
-    """Whether a solve that proves its levels (`_proving`) proves this one
-    by pair covers (`_separable`) instead of scanning it, and walks it
-    over the covers if the proof does not rule it out: when the
-    class-count slack is at least n/2. A tighter bound cuts the scan of
-    the level itself, as on cycles and paths of orders 11 to 24, whose
-    bdim slack stays at 7 or less, below n/2, on every level; proving all
-    their levels made C20, P20 and C22 2 to 4.4 times slower."""
-    return 2 * slack >= n
+def _proof_first(n: int, slack: int, cost: int, broadcast: bool) -> bool:
+    """Whether a solve that proves its levels (`_proving`) proves level
+    `cost` by pair covers (`_separable`) instead of scanning it, and walks
+    it over the covers if the proof does not rule it out: when the
+    class-count slack is at least n/2 and, for a set, the level has more
+    than 4 * C(n, 2) subsets.
+
+    A tighter bound cuts the scan of the level itself, as on cycles and
+    paths of orders 11 to 24, whose bdim slack stays at 7 or less, below
+    n/2, on every level; proving all their levels made C20, P20 and C22 2
+    to 4.4 times slower. A set level of few subsets, just above lb, is
+    scanned for less than the pair tables cost to build; proving only from
+    n * C(n, 2) subsets on made ladder dim 2 times slower."""
+    return 2 * slack >= n and (broadcast or comb(n, cost) > 4 * comb(n, 2))
 
 
 def _proving(n: int, broadcast: bool) -> bool:
     """Whether a solve of order n proves its levels by pair covers before
     it scans them, those that `_proof_first` picks, and walks over the
     covers a level the proof does not rule out: bdim from order 10 on, and
-    a set whose class-count bound works from order 11 on. (A set whose
-    bound is idle waits for `_level_proof` instead.)
+    sets from order 11 on, whose bound is idle or works alike.
 
     Each floor is the least order at which the proof and the walk pay,
     swept in-process on random graphs and trees of each order, proof on
@@ -331,6 +320,11 @@ def _proving(n: int, broadcast: bool) -> bool:
       dim; the bound works almost only on adim): adim took 86 ms against
       121 ms at order 11 (149 solves) and 137 against 170 at order 12, and
       8.0 against 7.8 at order 10 and 10.8 against 9.0 at order 9.
+    - sets whose bound is idle take the same floor. On the 100 order-11
+      graphs of the benchmark's cli-batch pool, each solve the minimum of
+      7 interleaved runs, adim took 34.1 ms, against 41.8 when idle sets
+      of order 11 were left to the scan; dim and dim_2, whose value level
+      the tables now walk, 14.5 against 13.6 and 20.2 against 19.2.
     """
     return n >= (10 if broadcast else 11)
 
@@ -393,24 +387,17 @@ def _search(
     passes `tables`, its whole table of rows at each strength 1..max(caps),
     of which `rows` keeps those within the caps.
 
-    Some levels are proved, then walked, over the pair tables instead:
-    - a level that `_proof_first` picks by its class-count slack, for a
-      solve that `_proving` lets prove its levels;
-    - for a set whose class-count bound is idle, each level from the start
-      of `_level_proof` on, unless the scan of the level before it checked
-      a leaf within 2 classes of n: a near miss says the value is likely
-      this level, where the tables would be waste, so it is scanned too.
-    A level that `_separable` rules out over the covers of those tables is
-    counted, and a level it does not rule out holds a resolving vector: it
-    is walked over the covers (`descend` for a set, `bdescend` for a
-    broadcast) to the lex-least one, or with `collect` to all of them.
+    In a solve that `_proving` admits, a level that `_proof_first` picks
+    is proved, then walked, over the pair tables instead. A level that
+    `_separable` rules out over their covers is counted, and a level it
+    does not rule out holds a resolving vector: `descend` walks it over
+    the covers to the lex-least one, or with `collect` to all of them.
 
     A set solve of an order that `_floored` admits proves the levels below
     its counting floor empty without a scan, as if `_separable` had ruled
     them out, and starts at the floor: the least k with k + b**k >= n, b
-    the distinct nonzero entries of `rows[1]`. Each skipped level counts
-    as scanned with no near miss. A set level proved empty either way is
-    counted in closed form (`_twin_subsets`).
+    the distinct nonzero entries of `rows[1]`. A set level proved empty
+    either way is counted in closed form (`_twin_subsets`).
 
     A vector is built one support vertex at a time: each step picks the
     next vertex z above the previous one and a strength 1 <= v <= caps[z],
@@ -471,11 +458,11 @@ def _search(
     floor = lb
     if not broadcast and _floored(n):
         floor = max(lb, counting_floor(n, len(set().union(*ones)) - 1))
-    # A solve that `_proving` lets prove its levels makes them before its
-    # first level, where each level's class-count slack decides whether the
-    # cover proof runs first: bdim, and a set whose class-count bound works
-    # and whose floor is below n - 1, a level that always resolves.
-    proving = _proving(n, broadcast) and (broadcast or floor < n - 1 and not _counting_idle(ones, n))
+    # A solve that `_proving` lets prove its levels makes the class-count
+    # bound before its first level, where each level's slack decides
+    # whether the cover proof runs first: bdim, and a set whose floor is
+    # below n - 1, a level that always resolves.
+    proving = _proving(n, broadcast) and (broadcast or floor < n - 1)
     bound_gate = 0 if proving else _bound_gate(caps)
     level = 0
     # The cost table: ways[i][r] of `_cost_ways` for r <= level and the
@@ -495,12 +482,6 @@ def _search(
     # A broadcast's lb is at least counting_floor(n, 2), so each level has
     # vectors that meet the counting condition.
     levels = count(lb) if broadcast else range(floor, n)
-    proof = None if broadcast else _level_proof(ones, n, lb)
-    # A checked leaf resolves, or on a level scanned from proof - 1 on
-    # comes within 2 classes of resolving, when its codes have at least
-    # `close` classes. A start at lb has no level before it to come close,
-    # and a level below the floor is empty with no near miss.
-    close = n - 2 if proof is not None and proof <= floor else n
 
     def make_bound() -> None:
         nonlocal gain, above, best, bound_gate
@@ -528,7 +509,7 @@ def _search(
         children, like every cut child, take their counts from the table
         where it applies.
         """
-        nonlocal checked, built, close, ways, clear
+        nonlocal checked, built, ways, clear
         if codes is None:
             if ways is None:
                 clear = members.bit_length() - 1  # the highest twin-group member
@@ -565,10 +546,7 @@ def _search(
                     total += 1
                     if missing and gain[1][z] < missing:
                         priced += 1
-                    elif (distinct := len(set(map(add, codes, ones[z])))) >= close:
-                        if distinct < n:
-                            close = n  # a near miss: the next level is scanned too
-                            continue
+                    elif len(set(map(add, codes, ones[z]))) == n:
                         found.append((*path, (z, 1)))
                         if not collect:
                             break
@@ -642,9 +620,9 @@ def _search(
     # The pair tables, made on first use: seps, and covers[i - 1] for
     # strength i.
     seps = covers = None
-    # The walks over the pair tables, made for a solve that may prove a
+    # The walk over the pair tables, made for a solve that may prove a
     # level.
-    if proving or proof is not None:
+    if proving:
         top = 1 << n
 
         def tally(last: int, rem: int, supp: int, weight: int, free: int) -> int:
@@ -657,60 +635,12 @@ def _search(
                 return ways[last + 1][rem]
             return extend(None, last, rem, supp, weight, free, 0)
 
-        def descend(open_: int, last: int, rem: int, free: int) -> int:
-            """Walk a set level as `extend` does, carrying the bitmask of the
-            pairs no landmark of the set so far separates instead of codes, and
-            return the number of candidates examined below this node. `free`
-            holds the twin-group members not chosen, and the twin rule reads it
-            through `_twin_debt` as in `extend`.
-
-            A child with cost left >= 2 whose open pairs no landmarks of that
-            cost above it can separate (`_separable`) is counted (`tally`), and
-            a leaf resolves when its landmark separates every open pair. The
-            root's proof is the level's, made before the walk.
-            """
-            nonlocal checked
-            hi = n
-            owed = owing = 0
-            next_free = free
-            if masks:
-                hi, owed, owing = debt.get(free) or debt.setdefault(free, _twin_debt(masks, free, n))
-            total = 0
-            if rem == 1:
-                for z in range(last + 1, hi):
-                    if owed > owing >> z & 1:
-                        continue
-                    total += 1
-                    if not open_ & ~covers[0][z]:
-                        found.append((*path, (z, 1)))
-                        break
-                checked += total
-                return total
-            left = rem - 1
-            # z leaves at least the rem - 1 vertices the set still takes
-            # above it.
-            for z in range(last + 1, min(hi, n + 1 - rem)):
-                if masks:
-                    if owed - (owing >> z & 1) >= rem:
-                        continue
-                    next_free = free & ~(1 << z)
-                nxt = open_ & ~covers[0][z]
-                if left > 1 and not _separable(seps, covers, caps, left, nxt, top - (2 << z)):
-                    total += tally(z, left, 0, 1, next_free)
-                    continue
-                path.append((z, 1))
-                total += descend(nxt, z, left, next_free)
-                if found:
-                    return total
-                path.pop()
-            return total
-
-        def bdescend(open_: int, last: int, rem: int, supp: int, weight: int, free: int) -> int:
-            """Walk a broadcast level as `extend` walks it, over the covers per
-            strength instead of codes: a child (z, v) leaves open the pairs of
-            `open_` that row (z, v) does not separate. Vertices go from the top
-            down and strengths up, the twin debt and the counting condition
-            bound the loop as in `extend`, and a child with cost left >= 2 that
+        def descend(open_: int, last: int, rem: int, supp: int, weight: int, free: int) -> int:
+            """Walk a level as `extend` walks it, over the covers per strength
+            instead of codes: a child (z, v) leaves open the pairs of `open_`
+            that row (z, v) does not separate. Vertices and strengths go in
+            `extend`'s order, the twin debt and the counting condition bound
+            the loop as there, and a child with cost left >= 2 that
             `_separable` rules out is counted (`tally`). A leaf, or a vertex
             that ends the vector at strength `rem`, resolves when its row
             separates every open pair. Stops at the first resolving vector
@@ -724,9 +654,10 @@ def _search(
             next_free = free
             if masks:
                 hi, owed, owing = debt.get(free) or debt.setdefault(free, _twin_debt(masks, free, n))
+            zs = range(hi - 1, last, -1) if broadcast else range(last + 1, hi)
             total = 0
             if rem == 1:
-                for z in range(hi - 1, last, -1):
+                for z in zs:
                     if owed > owing >> z & 1:
                         continue
                     total += 1
@@ -737,7 +668,7 @@ def _search(
                 checked += total
                 return total
             ends = covers[rem - 1] if rem <= len(covers) and supp + weight * (rem + 1) >= need else ()
-            for z in range(hi - 1, last, -1):
+            for z in zs:
                 cap = caps[z]
                 lo = rem - after[z]
                 if lo > cap:
@@ -755,7 +686,7 @@ def _search(
                         total += tally(z, left, supp, w, next_free)
                         continue
                     path.append((z, v))
-                    total += bdescend(nxt, z, left, supp, w, next_free)
+                    total += descend(nxt, z, left, supp, w, next_free)
                     if found and not collect:
                         return total
                     path.pop()
@@ -778,18 +709,11 @@ def _search(
         level = cost
         if ways is not None:
             ways = _cost_ways(caps, cost, clear + 1)
-        walk = False
-        if proof is not None and cost + 1 >= proof:
-            walk = cost >= proof and close < n  # no near miss on the level before
-            if not walk:
-                close = n - 2
-        if not walk:
-            if built >= bound_gate:
-                make_bound()
-            elif best is not None:
-                _grow_class_bound(best, above, level)
-            walk = proving and _proof_first(n, _class_slack(gain, best, caps, cost))
-        if walk:
+        if built >= bound_gate:
+            make_bound()
+        elif best is not None:
+            _grow_class_bound(best, above, level)
+        if proving and _proof_first(n, _class_slack(gain, best, caps, cost), cost, broadcast):
             if seps is None:
                 seps, *covers = _pair_tables(*(tables or (ones,)))
             everything = (1 << len(seps)) - 1
@@ -802,10 +726,7 @@ def _search(
             if ways is None:
                 clear = members.bit_length() - 1
                 ways = _cost_ways(caps, cost, clear + 1)
-            if broadcast:
-                examined += bdescend(everything, -1, cost, 0, 1, members)
-            else:
-                examined += descend(everything, -1, cost, members)
+            examined += descend(everything, -1, cost, 0, 1, members)
         else:
             # The split cut reads strengths 1..cost - 1, which take
             # min(cost - 1, max(caps)) class lists of n * n entries; it
@@ -839,9 +760,9 @@ def solve_adim(g: Graph, d: Optional[DistanceMatrix] = None) -> SolverResult:
 
 def _solve_truncated(g: Graph, k: int, d: Optional[DistanceMatrix], kind: str) -> SolverResult:
     """Search vertex subsets by ascending size, lexicographic within a size,
-    each landmark's row truncated at k + 1; from the level `_level_proof`
-    picks, the pair tables rule out the levels below the value and steer
-    the walk to the witness."""
+    each landmark's row truncated at k + 1. From order 11 on, the pair
+    tables prove the large levels below the value empty and steer the walk
+    of the value level to the witness (`_proving`, `_proof_first`)."""
     n = g.n
     if n == 0:
         raise ValueError("graph has no vertices")
@@ -858,31 +779,6 @@ def _solve_truncated(g: Graph, k: int, d: Optional[DistanceMatrix], kind: str) -
     if size is None:
         raise RuntimeError("subset search exhausted without a resolving set")
     return SolverResult(kind, size, next(zip(*found[0])), examined, lb, checked, built)
-
-
-def _level_proof(rows, n: int, lb: int) -> Optional[int]:
-    """Return the level from which a subset search over the landmark rows
-    `rows`, from level lb, may walk each level by the pair tables, or None
-    when it never does.
-
-    The tables run only when the class-count bound is idle
-    (`_counting_idle`: some row gains at least (n - 2)/2 classes) and
-    n >= 12; a solve whose bound works proves the levels its class-count
-    slack picks instead (`_proving`). The start is the first level above
-    lb with more than 4 * C(n, 2) subsets, a count of plain binomials. The
-    scan checks the levels below it as before, so a solve whose witness
-    lies there builds no table. From the start on, a level is empty
-    exactly when no set of that size separates every pair (`_separable`);
-    a larger set resolves whenever a smaller one does, so the first level
-    it does not rule out is the value, and its walk over the pair tables
-    (`descend`), steered by the same branch and bound, finds the lex-least
-    witness.
-    """
-    if n < 12 or not _counting_idle(rows, n):
-        # The class-count bound works, or the solve is small.
-        return None
-    most = 4 * comb(n, 2)
-    return next((size for size in range(lb + 1, n) if comb(n, size) > most), None)
 
 
 # The translation that spells a byte as a binary digit: 0 as "0", any

@@ -86,8 +86,9 @@ def _assert_same_solves(g, d=None, enum_oracle=None):
     Each solve runs twice: as it is, and with the class-count bound made
     from the first node on, which its gate and the idle rule otherwise
     keep off on graphs this small. The set solves run a third time, with
-    every level from lb on walked by the pair tables, which the gate
-    otherwise keeps for orders of 12 and more. The oracle runs once."""
+    every level proved, then walked, over the pair tables, which
+    `_proving` and `_proof_first` otherwise keep for the large levels of
+    orders 11 and more. The oracle runs once."""
     if d is None:
         d = all_pairs_distances(g)
     adim_oracle = seed_oracle.solve_dim_k(g, 1, d)  # adim is dim_1
@@ -104,7 +105,8 @@ def _assert_same_solves(g, d=None, enum_oracle=None):
         mp.setattr(solvers, "_bound_gate", lambda caps: 0)
         mp.setattr(solvers, "_counting_idle", lambda ones, n: False)
         forced = _solve_all(g, d)
-        mp.setattr(solvers, "_level_proof", lambda rows, n, lb: lb)
+        mp.setattr(solvers, "_proving", lambda n, broadcast: True)
+        mp.setattr(solvers, "_proof_first", lambda n, slack, cost, broadcast: True)
         steered = _solve_sets(g, d)
     if enum_oracle is None:
         enum_oracle = plain["enum"]
@@ -345,11 +347,11 @@ def test_levels_below_the_floor_build_and_check_nothing(monkeypatch):
     # A set search started at lb below its counting floor checks the same
     # candidates and builds the same nodes as the same search started at
     # the floor: the levels below are counted, and their candidates, by
-    # brute force, are all it adds to those examined. The start of the
-    # walk over the pair tables is patched off, since it is picked from
-    # where the search starts. Seeded G(n, p) and random trees of orders 9
-    # to 14, each at k = 1, 2 and n - 1.
-    monkeypatch.setattr(solvers, "_level_proof", lambda rows, n, lb: None)
+    # brute force, are all it adds to those examined. From order 11 on
+    # both prove and walk the same levels over the pair tables, since
+    # `_proof_first` reads a level's cost, not where the search started;
+    # below it both scan every level. Seeded G(n, p) and random trees of
+    # orders 9 to 14, each at k = 1, 2 and n - 1.
     rng = random.Random(19960101)
     graphs = [families.random_graph(n, rng.uniform(0.3, 0.7), rng.randrange(2**31)) for n in range(9, 15) for _ in range(3)]
     graphs += [families.random_tree(n, rng.randrange(2**31)) for n in range(9, 15) for _ in range(2)]
@@ -545,7 +547,7 @@ def test_cover_proof_keeps_every_field(monkeypatch):
         proved.append((solve_bdim(g, d), enumerate_min_broadcasts(g, d)))
     # 320 root proofs over the 150 solves ruled out 170 levels.
     assert (len(ruled_out), sum(ruled_out)) == (320, 170)
-    monkeypatch.setattr(solvers, "_proof_first", lambda n, slack: False)
+    monkeypatch.setattr(solvers, "_proof_first", lambda n, slack, cost, broadcast: False)
     oracle = [False] * len(twin_trees) + [True] * len(graphs)
     for g, (new, listed), by_oracle in zip(twin_trees + graphs, proved, oracle):
         d = all_pairs_distances(g)
@@ -576,8 +578,7 @@ def test_forced_walk_keeps_every_field(monkeypatch):
     walked = []
     # Order 1 has no pair to separate.
     monkeypatch.setattr(solvers, "_proving", lambda n, broadcast: n > 1)
-    monkeypatch.setattr(solvers, "_proof_first", lambda n, slack: True)
-    monkeypatch.setattr(solvers, "_level_proof", lambda rows, n, lb: lb if _counting_idle(rows, n) else None)
+    monkeypatch.setattr(solvers, "_proof_first", lambda n, slack, cost, broadcast: True)
     for g in graphs:
         d = all_pairs_distances(g)
         fields, listed, solved = _walk_solves(g, d)
@@ -586,7 +587,6 @@ def test_forced_walk_keeps_every_field(monkeypatch):
             if g.n > 1 and (res.kind == "bdim" or res.lower_bound_used < g.n - 1):
                 assert res.nodes_built == 0, (res.kind, g.n, g.edges())
     monkeypatch.setattr(solvers, "_proving", lambda n, broadcast: False)
-    monkeypatch.setattr(solvers, "_level_proof", lambda rows, n, lb: None)
     for g, (fields, listed) in zip(graphs, walked):
         d = all_pairs_distances(g)
         scanned, scanned_list, _ = _walk_solves(g, d)
@@ -831,31 +831,41 @@ def test_pair_tables_with_two_byte_entries():
 
 
 def test_plain_set_solves_build_no_pair_table(monkeypatch):
-    # A set solve's tables wait for order 11 when its class-count bound
-    # works, and for order 12 when the bound is idle: no plain set solve of
-    # the graphs the steered walk is compared on above, or of G(11, p),
-    # whose bounds are all idle, builds one.
+    # A set solve's tables wait for order 11 (`_proving`), whether its
+    # class-count bound works or is idle: no plain set solve of the graphs
+    # the steered walk is compared on above, or of G(10, p), builds one.
     def refuse(rows):
         raise AssertionError("pair table built")
 
     rng = random.Random(20111)
     graphs = list(labelled_graphs(5)) + _seeded_graphs()
-    graphs += [families.random_graph(11, p, rng.randrange(2**31)) for p in (0.2, 0.3, 0.5, 0.7) for _ in range(2)]
+    graphs += [families.random_graph(10, p, rng.randrange(2**31)) for p in (0.2, 0.3, 0.5, 0.7) for _ in range(2)]
+    pair_tables = solvers._pair_tables
     monkeypatch.setattr(solvers, "_pair_tables", refuse)
     for g in graphs:
         d = all_pairs_distances(g)
         _solve_sets(g, d)
+    # From order 11 on an idle bound counts as slack n, so an idle solve
+    # takes the same rule: dim of this G(11, 0.2) scans levels 1 to 3, of
+    # at most 4 * C(11, 2) subsets each, and proves, then walks, its value
+    # level 4 over the tables.
+    g = families.random_graph(11, 0.2, 157438844)
+    d = all_pairs_distances(g)
+    assert _counting_idle(d.dist, 11)
+    with pytest.raises(AssertionError, match="pair table built"):
+        solve_dim(g, d)
+    monkeypatch.setattr(solvers, "_pair_tables", pair_tables)
+    res = solve_dim(g, d)
+    assert _fields(res) == _fields(seed_oracle.solve_dim(g, d))
+    assert (res.value, res.candidates_checked, res.nodes_built) == (4, 103, 64)
 
 
-def test_proof_starts_early_unless_the_level_before_comes_close(monkeypatch):
-    # dim of G(26, 0.3), seed 0, is 5. Level 3 is the first with more
-    # subsets than 4 * C(26, 2), and no 2-set comes within 2 classes of
-    # resolving, so the tables prove levels 3 and 4 empty and steer the
-    # walk of level 5. dim of this G(12, 0.5) is 4, its first such level:
-    # a 3-set comes within 2 classes, so level 4 is scanned too, finds the
-    # witness and builds no table. Its diameter is 3, so its counting
-    # floor is 3: levels 1 and 2 are counted, and every candidate from
-    # level 3 on is checked.
+def test_sets_prove_and_walk_the_levels_of_many_subsets(monkeypatch):
+    # One rule picks the levels a set solve proves, then walks, over the
+    # pair tables: from order 11 on, a level whose class-count slack is at
+    # least n/2, n for an idle bound, and that has more than 4 * C(n, 2)
+    # subsets. Every other level is scanned by codes or counted below the
+    # counting floor.
     roots = []
     separable = solvers._separable
 
@@ -865,68 +875,71 @@ def test_proof_starts_early_unless_the_level_before_comes_close(monkeypatch):
         return separable(seps, covers, caps, budget, open_, avail)
 
     monkeypatch.setattr(solvers, "_separable", spy)
+    # dim of G(26, 0.3), seed 0, is 5. Level 3 is the first with more
+    # subsets than 4 * C(26, 2): the tables prove levels 3 and 4 empty and
+    # steer the walk of level 5 to its witness, which builds no node.
     g26 = families.random_graph(26, 0.3, 0)
-    assert solvers._level_proof(all_pairs_distances(g26).dist, 26, 1) == 3
-    assert solve_dim(g26).value == 5
+    assert [solvers._proof_first(26, 26, cost, False) for cost in (2, 3)] == [False, True]
+    res = solve_dim(g26)
+    assert res.value == 5
     assert roots == [3, 4, 5]
+    assert (res.candidates_checked, res.nodes_built) == (96, 0)
 
-    def refuse(rows):
-        raise AssertionError("pair table built")
-
-    pair_tables = solvers._pair_tables
-    monkeypatch.setattr(solvers, "_pair_tables", refuse)
+    # dim of this G(12, 0.5) is 4. Its diameter is 3, so its counting
+    # floor is 3: levels 1 and 2 are counted. Level 3 has 220 <= 264
+    # subsets and is scanned; level 4 is proved, then walked.
     g12 = families.random_graph(12, 0.5, 12013)
     d12 = all_pairs_distances(g12)
-    assert solvers._level_proof(d12.dist, 12, 1) == 4
+    assert comb(12, 3) <= 4 * comb(12, 2) < comb(12, 4)
+    del roots[:]
     res = solve_dim(g12, d12)
-    below = _below_floor(g12, d12, 11)
-    assert below == 12 + comb(12, 2)
-    assert (res.value, res.candidates_checked) == (4, res.candidates_examined - below)
+    assert _fields(res) == _fields(seed_oracle.solve_dim(g12, d12))
+    assert roots == [4]
+    assert (res.value, res.candidates_checked, res.nodes_built) == (4, 249, 65)
+    assert _below_floor(g12, d12, 11) == 12 + comb(12, 2)
 
-    # A near miss can defer the walk again. dim of this G(12, 0.6) is 5:
-    # a 3-set and a 4-set each come within 2 classes of resolving, so
-    # without the counting floor levels 4 and 5 are scanned too and no
-    # table is built.
+    # dim of this G(12, 0.6) is 5. Its diameter is 2, so its counting
+    # floor is 4 (3 + 2**3 < 12): levels 1 to 3 are counted, the tables
+    # prove level 4 empty and the walk of level 5 resolves at its first
+    # leaf. With the floor off, levels 1 to 3 are scanned instead and the
+    # same two levels are proved, then walked: what the scan of a level
+    # sees does not move the rule.
     g12 = families.random_graph(12, 0.6, 120142)
     d12 = all_pairs_distances(g12)
-    rows = d12.dist
-    assert solvers._level_proof(rows, 12, 1) == 4
-    for size in (3, 4):
-        assert max(len(set(zip(*(rows[z] for z in s)))) for s in combinations(range(12), size)) >= 10
-    with monkeypatch.context() as mp:
-        mp.setattr(solvers, "_floored", lambda n: False)
-        res = solve_dim(g12, d12)
-    assert res.value == 5
-    # Its diameter is 2, so its counting floor is 4 (3 + 2**3 < 12): level
-    # 3 is counted whole, with no scan to come close, as a scanned level
-    # with no near miss would leave it, and the tables prove level 4 empty
-    # and steer the walk of level 5 to its first leaf.
-    monkeypatch.setattr(solvers, "_pair_tables", pair_tables)
     del roots[:]
     floored = solve_dim(g12, d12)
-    assert _fields(floored) == _fields(res)
+    assert floored.value == 5
     assert roots == [4, 5]
     assert (floored.candidates_checked, floored.nodes_built) == (1, 0)
     assert _below_floor(g12, d12, 11) == 12 + comb(12, 2) + comb(12, 3)
+    monkeypatch.setattr(solvers, "_floored", lambda n: False)
+    del roots[:]
+    res = solve_dim(g12, d12)
+    assert _fields(res) == _fields(floored)
+    assert roots == [4, 5]
+    assert (res.candidates_checked, res.nodes_built) == (1 + 12 + comb(12, 2) + comb(12, 3), 76)
 
 
 def test_twin_forced_trees_prove_their_levels_early():
-    # Twin leaves force lb = 2 on these trees, and the first level above
-    # it with more than 4 * C(n, 2) subsets is 3: the tables prove the
-    # levels below the value empty and steer the walk to the witness, so
-    # each solve checks under 100 of its thousands of candidates.
+    # Twin leaves force lb = 2 on these trees, whose class-count bound is
+    # idle, and level 3 has more than 4 * C(n, 2) subsets: the tables
+    # prove the levels below the value empty and steer the walk to the
+    # witness, so each solve checks under 100 of its thousands of
+    # candidates.
     for n in (26, 28, 30):
         g = families.random_tree(n, 1)
         d = all_pairs_distances(g)
         new = solve_dim(g, d)
-        assert (new.lower_bound_used, solvers._level_proof(d.dist, n, 2)) == (2, 3)
+        assert _counting_idle(d.dist, n)
+        assert new.lower_bound_used == 2
+        assert [solvers._proof_first(n, n, cost, False) for cost in (2, 3)] == [False, True]
         assert _fields(new) == _fields(seed_oracle.solve_dim(g, d)), f"tree n={n}"
         assert new.candidates_checked < 100, (n, new.candidates_checked)
 
 
 def test_solves_that_prove_levels_empty():
-    # With the class-count bound idle, these solves prove the levels from
-    # the one `_level_proof` picks up to the value empty, and count their
+    # With the class-count bound idle, these solves prove the levels of
+    # more than 4 * C(n, 2) subsets below the value empty, and count their
     # candidates instead of checking them: every field still matches the
     # oracle.
     dim2, dim2_oracle = (lambda g, d: solve_dim_k(g, 2, d)), (lambda g, d: seed_oracle.solve_dim_k(g, 2, d))

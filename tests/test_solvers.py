@@ -415,12 +415,15 @@ def test_nodes_built_counts_the_code_scan():
     # level 4, which it scans. adim of random_tree(20, 2) scans levels 2
     # to 7, proves level 8 empty and walks its value 9 over the pair
     # tables, and dim of random_tree(28, 1) meets its twin groups on the
-    # pair-table walk.
+    # pair-table walk. dim of random_tree(21, 1) scans levels 1 and 2,
+    # whose few subsets are cheaper to scan than the tables are to build,
+    # proves level 3 empty and walks its value 4.
     for solve, g, counts in (
         (solve_bdim, families.random_tree(14, 1), (14, 0)),
         (solve_bdim, families.random_tree(14, 0), (15, 58)),
         (solve_adim, families.random_tree(20, 2), (20, 937)),
         (solve_dim, families.random_tree(28, 1), (26, 3)),
+        (solve_dim, families.random_tree(21, 1), (261, 20)),
     ):
         res = solve(g)
         assert (res.candidates_checked, res.nodes_built) == counts, (res.kind, g.n)
