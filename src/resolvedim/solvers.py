@@ -92,23 +92,24 @@ goes to that proof first (`_proof_first`) when its class-count slack
 (`_class_slack`: how many classes the best root child could add beyond
 the n - 1 the root misses, n for an idle bound) is at least n/2 and, for
 a set, the level has more than 4 * C(n, 2) subsets. A level it rules out
-is counted whole, a broadcast's by the walk in counting mode and a
-set's in closed form, and never scanned. A level it does not rule out
-holds a resolving vector, so it is the value, and it is walked over the
-covers, not scanned by codes (`descend`): `extend`'s child loop with the
-open pairs that row (z, v) leaves, `open & ~covers[v - 1][z]`, in place
-of codes, in the same order and with the same twin debt and
-counting-condition break. Below the root, a child with cost r >= 2 left
-whose open pairs no cost r above it can separate is counted, as below a
-cut; the rest steer the walk to the lex-least witness, and
-`enumerate_min_broadcasts` collects every resolving vector of the walk.
-These levels run neither the class-count bound nor the split cut. The
-walk examines the same candidates as the scan, so only
-`candidates_checked` and `nodes_built` change. Where the slack is
-smaller, as on every level of cycles and paths measured, the class-count
-bound already cuts the scan: proving every level made C20, P20 and C22 2
-to 4.4 times slower. A set level with few subsets is cheaper to scan
-than the pair tables are to build.
+is counted whole, a broadcast's by the counting walk and a set's in
+closed form, and never scanned. A level it does not rule out holds a
+resolving vector, so it is the value, and it is walked over the covers,
+not scanned by codes. The kernel has one walk, `extend`, with one child
+loop, one vertex order, one twin debt and one counting-condition break,
+in three modes: it checks codes, it counts with no codes, or it walks
+the covers, a node's state being the bitmask of the pairs still open,
+of which a child (z, v) leaves `open & ~covers[v - 1][z]`. Below the
+root of a walked level, a child with cost r >= 2 left whose open pairs
+no cost r above it can separate is counted, as below a cut; the rest
+steer the walk to the lex-least witness, and `enumerate_min_broadcasts`
+collects every resolving vector of the walk. A walked level runs
+neither the class-count bound nor the split cut. It examines the same
+candidates as a scan, so only `candidates_checked` and `nodes_built`
+change. Where the slack is smaller, as on every level of cycles and
+paths measured, the class-count bound already cuts the scan: proving
+every level made C20, P20 and C22 2 to 4.4 times slower. A set level
+with few subsets is cheaper to scan than the pair tables are to build.
 
 Before any of that, a set solve from order 7 on (`_floored`) counts the
 levels below its counting floor: the least k with k + b**k >= n, for the
@@ -167,16 +168,18 @@ class SolverResult:
     witness: Union[tuple[int, ...], Broadcast]
     candidates_examined: int
     lower_bound_used: int
-    # The candidates tested for resolution: by their codes, or in a level
-    # walked over the pair tables by whether the row that ends them
-    # separates every pair still open. The rest of those examined were
-    # counted at leaves or in subtrees that the class-count bound, the
-    # split cut or the pair-separation branch and bound skipped, or in
-    # levels that branch and bound showed empty, for bdim over the covers
-    # per strength, or, for a set, in levels below its counting floor.
+    # The candidates tested for resolution: in a level scanned by codes,
+    # whether their codes are distinct; in a level walked over the pair
+    # tables, whether the covers that end them leave no pair open. The
+    # rest of those examined were counted, from the cost table or by the
+    # walk in counting mode, at leaves or in subtrees that the class-count
+    # bound, the split cut or the pair-separation branch and bound
+    # skipped, or in levels that branch and bound showed empty, for bdim
+    # over the covers per strength, or, for a set, in levels below its
+    # counting floor.
     candidates_checked: int
-    # The nodes of the code scan whose codes were built; the walks over
-    # the pair tables and a level proved empty build none.
+    # The nodes of the code scan whose codes were built; a level walked
+    # over the pair tables and a level proved empty build none.
     nodes_built: int = 0
 
 
@@ -387,11 +390,13 @@ def _search(
     passes `tables`, its whole table of rows at each strength 1..max(caps),
     of which `rows` keeps those within the caps.
 
-    In a solve that `_proving` admits, a level that `_proof_first` picks
-    is proved, then walked, over the pair tables instead. A level that
-    `_separable` rules out over their covers is counted, and a level it
-    does not rule out holds a resolving vector: `descend` walks it over
-    the covers to the lex-least one, or with `collect` to all of them.
+    One walk, `extend`, runs every level, in one of three modes: it checks
+    codes, it counts with `codes` None, or, where `walking` is set for the
+    level, it walks the pair tables' covers. In a solve that `_proving`
+    admits, a level that `_proof_first` picks is proved over the covers
+    first. A level that `_separable` rules out is counted, and a level it
+    does not rule out holds a resolving vector, which the walk over the
+    covers reaches: the lex-least one, or with `collect` all of them.
 
     A set solve of an order that `_floored` admits proves the levels below
     its counting floor empty without a scan, as if `_separable` had ruled
@@ -421,10 +426,10 @@ def _search(
     building or checking codes: from the cost table `ways` when no
     twin-group member lies above it and, for a broadcast, its cheapest
     completion, one vertex at strength `left`, meets the counting
-    condition; otherwise by the walk in counting mode (`tally`). A leaf
-    is counted without being checked. So it goes below a node that the
-    split cut skips, and below a node of a pair-table walk that the branch
-    and bound rules out; at the root, that counts the whole level.
+    condition; otherwise by the walk in counting mode. A leaf is counted
+    without being checked. So it goes below a node that the split cut
+    skips, and below a walked node that the branch and bound rules out;
+    at the root, that counts the whole level.
     Returns the cost reached (None if the levels ran out), the number of
     candidates examined, how many of those were checked, how many nodes
     had their codes built, and the resolving vectors at that cost as
@@ -467,8 +472,7 @@ def _search(
     level = 0
     # The cost table: ways[i][r] of `_cost_ways` for r <= level and the
     # vertices i above the highest twin-group member, made on the solve's
-    # first entry into the counting walk or before its first walk over the
-    # pair tables, and remade at each later level.
+    # first entry into the counting walk and remade at each later level.
     # Until then it is None and `clear` is n. A cut child at z >= clear has
     # no twin-group member above it, so every completion passes the twin
     # rule, and the table counts them when the cheapest one, all of `left`
@@ -479,6 +483,12 @@ def _search(
     # `_split_classes` of its strength, made on first use.
     split: dict[int, list[list[int]]] = {}
     gate = 0
+    # Whether the level is walked over the pair tables, set at each level,
+    # and the tables, made on first use: seps, and covers[i - 1] for
+    # strength i. `top` is the bitmask of every landmark.
+    walking = False
+    seps = covers = None
+    top = 1 << n
     # A broadcast's lb is at least counting_floor(n, 2), so each level has
     # vectors that meet the counting condition.
     levels = count(lb) if broadcast else range(floor, n)
@@ -500,14 +510,22 @@ def _search(
         has `supp` support vertices and prod(f + 1) = `weight`, and `free`
         holds the twin-group members it has not chosen, all that the twin
         rule reads (`_twin_debt`). The walk stops at the first resolving
-        vector unless it collects. With `codes` None it counts every
-        candidate below instead, builds no code, and memoises the count on
-        what the walk reads: |supp| and the product only matter up to
-        `need`, and not at all once the cheapest completion, all of `rem`
-        on one vertex, meets the counting condition, for then every
-        completion does. Its first such call makes the cost table, and its
-        children, like every cut child, take their counts from the table
-        where it applies.
+        vector unless it collects.
+
+        In a level that is `walking`, `codes` is instead the bitmask of the
+        pairs the vector so far leaves open, and `missing` is 0: a child
+        (z, v) leaves `codes & ~covers[v - 1][z]` open, one with cost left
+        >= 2 is cut when `_separable` finds that no cost left above z
+        separates those pairs, and a vector resolves when the covers of its
+        last row leave no pair open.
+
+        With `codes` None it counts every candidate below instead, builds
+        no code, and memoises the count on what the walk reads: |supp| and
+        the product only matter up to `need`, and not at all once the
+        cheapest completion, all of `rem` on one vertex, meets the counting
+        condition, for then every completion does. Its first such call
+        makes the cost table, and its children, like every cut child, take
+        their counts from the table where it applies.
         """
         nonlocal checked, built, ways, clear
         if codes is None:
@@ -527,6 +545,7 @@ def _search(
         hi = n  # the next support vertex is below hi
         owed = owing = still = 0  # the twin groups' debt: see `_twin_debt`
         next_free = free  # the free members below the next child
+        short = 0  # the classes a built child's codes miss, once `best` is made
         if masks:
             hi, owed, owing = debt.get(free) or debt.setdefault(free, _twin_debt(masks, free, n))
         zs = range(hi - 1, last, -1) if broadcast else range(last + 1, hi)
@@ -534,10 +553,21 @@ def _search(
         if rem == 1:
             # Every child is a leaf at strength 1, and meets the counting
             # condition: the strength loop above, or the level's start at
-            # lb, saw to it. A leaf whose row adds fewer classes than the
-            # codes miss is counted, not checked.
+            # lb, saw to it. A walk checks every leaf; a scan counts, and
+            # does not check, a leaf whose row adds fewer classes than the
+            # codes miss.
             if codes is None:
                 total = sum(owed <= owing >> z & 1 for z in zs)
+            elif walking:
+                for z in zs:
+                    if owed > owing >> z & 1:
+                        continue
+                    total += 1
+                    if not codes & ~covers[0][z]:
+                        found.append((*path, (z, 1)))
+                        if not collect:
+                            break
+                checked += total
             else:
                 priced = 0  # the leaves counted, not checked
                 for z in zs:
@@ -552,8 +582,11 @@ def _search(
                             break
                 checked += total - priced
         else:
-            # Rows that end a vector here, if any vertex can take all of rem.
-            ends = rows[rem] if rem < len(rows) and supp + weight * (rem + 1) >= need else ()
+            # Rows, or covers, that end a vector here, if any vertex can
+            # take all of rem.
+            ends = ()
+            if rem < len(rows) and supp + weight * (rem + 1) >= need:
+                ends = covers[rem - 1] if walking else rows[rem]
             for z in zs:
                 cap = caps[z]
                 lo = rem - after[z]
@@ -571,27 +604,34 @@ def _search(
                     # falls as v grows, and so does `left`.
                     if still > left or supp + left + (w << left) < need:
                         break
-                    # The candidates below a cut are counted, not checked:
+                    # The candidates below a cut are counted, not checked.
+                    # A walk cuts a child when no cost `left` above z
+                    # separates the pairs it leaves open. A scan cuts it
                     # first when row (z, v) and cost `left` above z cannot
                     # add the classes the codes miss, then when the child's
                     # own codes miss more than `left` can add, or the split
                     # cut rules them out.
-                    skip = codes is None or missing and gain[v][z] + best[left][z] < missing
-                    if not skip:
-                        nxt = [c * base for c in map(add, codes, rows[v][z])]
-                        built += 1
-                        short = 0
-                        if best is not None:
-                            short = n - len(set(nxt))
-                            skip = best[left][z] < short
-                        elif built >= bound_gate:
-                            make_bound()
-                        if not skip and left > 1 and built >= gate:
-                            r = left if left < strongest else strongest
-                            classes = split.get(r)
-                            if classes is None:
-                                classes = split[r] = _split_classes(rows, caps, base, r)
-                            skip = len(set(map(add, nxt, classes[z]))) < n
+                    if codes is None:
+                        skip = True
+                    elif walking:
+                        nxt = codes & ~covers[v - 1][z]
+                        skip = left > 1 and not _separable(seps, covers, caps, left, nxt, top - (2 << z))
+                    else:
+                        skip = missing and gain[v][z] + best[left][z] < missing
+                        if not skip:
+                            nxt = [c * base for c in map(add, codes, rows[v][z])]
+                            built += 1
+                            if best is not None:
+                                short = n - len(set(nxt))
+                                skip = best[left][z] < short
+                            elif built >= bound_gate:
+                                make_bound()
+                            if not skip and left > 1 and built >= gate:
+                                r = left if left < strongest else strongest
+                                classes = split.get(r)
+                                if classes is None:
+                                    classes = split[r] = _split_classes(rows, caps, base, r)
+                                skip = len(set(map(add, nxt, classes[z]))) < n
                     if skip:
                         if z >= clear and supp + 1 + w * (left + 1) >= need:
                             total += ways[z + 1][left]
@@ -609,7 +649,7 @@ def _search(
                 if codes is None or missing and gain[rem][z] < missing:
                     continue
                 checked += 1
-                if len(set(map(add, codes, ends[z]))) == n:
+                if (not codes & ~ends[z]) if walking else len(set(map(add, codes, ends[z]))) == n:
                     found.append((*path, (z, rem)))
                     if not collect:
                         return total
@@ -617,90 +657,6 @@ def _search(
             memo[key] = total
         return total
 
-    # The pair tables, made on first use: seps, and covers[i - 1] for
-    # strength i.
-    seps = covers = None
-    # The walk over the pair tables, made for a solve that may prove a
-    # level.
-    if proving:
-        top = 1 << n
-
-        def tally(last: int, rem: int, supp: int, weight: int, free: int) -> int:
-            """Count the candidates below a node that spends `rem` on vertices
-            above `last`, as below a cut child: from the cost table when no
-            twin-group member lies above `last` and the cheapest completion,
-            all of rem on one vertex, meets the counting condition, otherwise
-            by `extend` in counting mode. `supp` counts `last`."""
-            if last >= clear and supp + 1 + weight * (rem + 1) >= need:
-                return ways[last + 1][rem]
-            return extend(None, last, rem, supp, weight, free, 0)
-
-        def descend(open_: int, last: int, rem: int, supp: int, weight: int, free: int) -> int:
-            """Walk a level as `extend` walks it, over the covers per strength
-            instead of codes: a child (z, v) leaves open the pairs of `open_`
-            that row (z, v) does not separate. Vertices and strengths go in
-            `extend`'s order, the twin debt and the counting condition bound
-            the loop as there, and a child with cost left >= 2 that
-            `_separable` rules out is counted (`tally`). A leaf, or a vertex
-            that ends the vector at strength `rem`, resolves when its row
-            separates every open pair. Stops at the first resolving vector
-            unless the walk collects, and returns the number of candidates
-            examined below this node; the root's proof is the level's.
-            """
-            nonlocal checked
-            supp += 1  # counting the next support vertex
-            hi = n
-            owed = owing = still = 0
-            next_free = free
-            if masks:
-                hi, owed, owing = debt.get(free) or debt.setdefault(free, _twin_debt(masks, free, n))
-            zs = range(hi - 1, last, -1) if broadcast else range(last + 1, hi)
-            total = 0
-            if rem == 1:
-                for z in zs:
-                    if owed > owing >> z & 1:
-                        continue
-                    total += 1
-                    if not open_ & ~covers[0][z]:
-                        found.append((*path, (z, 1)))
-                        if not collect:
-                            break
-                checked += total
-                return total
-            ends = covers[rem - 1] if rem <= len(covers) and supp + weight * (rem + 1) >= need else ()
-            for z in zs:
-                cap = caps[z]
-                lo = rem - after[z]
-                if lo > cap:
-                    continue
-                if masks:
-                    still = owed - (owing >> z & 1)
-                    next_free = free & ~(1 << z)
-                for v in range(lo if lo > 1 else 1, cap + 1 if cap < rem else rem):
-                    left = rem - v
-                    w = weight * (v + 1)
-                    if still > left or supp + left + (w << left) < need:
-                        break
-                    nxt = open_ & ~covers[v - 1][z]
-                    if left > 1 and not _separable(seps, covers, caps, left, nxt, top - (2 << z)):
-                        total += tally(z, left, supp, w, next_free)
-                        continue
-                    path.append((z, v))
-                    total += descend(nxt, z, left, supp, w, next_free)
-                    if found and not collect:
-                        return total
-                    path.pop()
-                if cap < rem or still or not ends:
-                    continue
-                total += 1
-                checked += 1
-                if not open_ & ~ends[z]:
-                    found.append((*path, (z, rem)))
-                    if not collect:
-                        return total
-            return total
-
-    start = [0] * n
     examined = sum(_twin_subsets(n, masks)[lb:floor]) if floor > lb else 0
     ruled_out = False  # some level was proved empty by `_separable`
     for cost in levels:
@@ -713,20 +669,16 @@ def _search(
             make_bound()
         elif best is not None:
             _grow_class_bound(best, above, level)
-        if proving and _proof_first(n, _class_slack(gain, best, caps, cost), cost, broadcast):
+        walking = proving and _proof_first(n, _class_slack(gain, best, caps, cost), cost, broadcast)
+        if walking:
             if seps is None:
                 seps, *covers = _pair_tables(*(tables or (ones,)))
-            everything = (1 << len(seps)) - 1
-            if not _separable(seps, covers, caps, cost, everything, top - 1):
-                examined += tally(-1, cost, 0, 1, members) if broadcast else _twin_subsets(n, masks)[cost]
+            root = (1 << len(seps)) - 1  # every pair open
+            if not _separable(seps, covers, caps, cost, root, top - 1):
+                examined += extend(None, -1, cost, 0, 1, members, 0) if broadcast else _twin_subsets(n, masks)[cost]
                 ruled_out = True
                 continue
-            # Some vector of this cost resolves: walk the level to it, with
-            # the cost table for the children it rules out.
-            if ways is None:
-                clear = members.bit_length() - 1
-                ways = _cost_ways(caps, cost, clear + 1)
-            examined += descend(everything, -1, cost, 0, 1, members)
+            missing = 0
         else:
             # The split cut reads strengths 1..cost - 1, which take
             # min(cost - 1, max(caps)) class lists of n * n entries; it
@@ -734,7 +686,9 @@ def _search(
             # level was proved empty: that solve is past the tiny ones the
             # gate spares, though the proved level built no node.
             gate = 0 if ruled_out else n * n * min(cost - 1, strongest)
-            examined += extend(start, -1, cost, 0, 1, members, 0 if best is None else n - 1)
+            root = [0] * n
+            missing = 0 if best is None else n - 1
+        examined += extend(root, -1, cost, 0, 1, members, missing)
         if found:
             return cost, examined, checked, built, found
     return None, examined, checked, built, found

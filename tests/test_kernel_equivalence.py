@@ -594,6 +594,28 @@ def test_forced_walk_keeps_every_field(monkeypatch):
         assert listed == scanned_list, f"n={g.n} edges={g.edges()}"
 
 
+def test_walked_bdim_pays_its_twin_groups():
+    # bdim solves whose value level is walked over the pair covers, each
+    # field pinned, the checked and built counts too: (value, examined,
+    # checked, built) and the twin groups the walk's children must pay.
+    # The grid has no twins; both trees have a twin pair, so the walk
+    # meets the twin debt and counts some cut children by the counting
+    # walk instead of the cost table. The enumerator collects the 6
+    # minimum broadcasts of the first tree through the same walk.
+    for g, pins, twins in (
+        (families.random_tree(20, 1), (8, 896034, 52, 172), [(11, 17)]),
+        (families.random_tree(20, 3), (8, 1368280, 62, 274), [(3, 12)]),
+        (families.grid((3, 7)), (8, 1301079, 62, 571), []),
+    ):
+        d = all_pairs_distances(g)
+        assert [grp for grp in d.twins.groups if len(grp) > 1] == twins
+        res = solve_bdim(g, d)
+        assert (res.value, res.candidates_examined, res.candidates_checked, res.nodes_built) == pins, twins
+    listed = enumerate_min_broadcasts(families.random_tree(20, 1))
+    assert (listed.optimal_cost, len(listed.broadcasts)) == (8, 6)
+    assert listed.broadcasts[0] == (0, 0, 1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1, 0, 2)
+
+
 def test_pair_separation_test_matches_the_scan():
     # Called without the solvers' gate, at every budget: some `budget`
     # landmarks separate every pair exactly when the scan's value is at
