@@ -18,7 +18,10 @@ one cost at a time, depth first, in lexicographic order: sorted-subset
 order for sets and value-vector order for broadcasts. Each step fixes
 the next support vertex and its strength and refines every vertex's code
 by that one landmark; codes are ints, `code * base + entry`, built with
-one C-level `map(add, ...)` per step, and a vector resolves when
+one C-level `map(add, ...)` per step. Once the class-count bound (below)
+is made, a step counts the classes of its refined codes first, with one
+`len(set(map(add, codes, row)))`, and builds them only if the bound keeps
+the node: most nodes it cuts never build codes. A vector resolves when
 `len(set(map(add, prefix, row))) == n`. The first resolving vector is
 therefore the lexicographically least witness. `enumerate_min_broadcasts`
 is bdim's search with collect (`_broadcast_search`): the same caps, rows
@@ -45,8 +48,9 @@ vertices above z adds at most best[r][z], a knapsack over strengths that
 prices each strength at its best row above z (`_class_gains`,
 `_grow_class_bound`). Each node passes down how many classes its codes
 miss, and the kernel skips a child (z, v) when the gain of row (z, v)
-plus best[left][z] falls short of that; skips it, once its codes are
-built, when they miss more than best[left][z]; and counts a leaf
+plus best[left][z] falls short of that; skips it, once its classes are
+counted and before its codes are built, when they miss more than
+best[left][z]; and counts a leaf
 without checking it when its row's gain falls short. The candidates
 below a cut cannot resolve, but they are candidates: the kernel counts
 them instead of checking them. Below a cut child at z with cost r left
@@ -79,7 +83,11 @@ at strength i separates x and y exactly when their entries in row (z, i)
 differ, and what z separates only grows with i, up to its cap.
 `_pair_tables` builds one covers list per strength under one numbering
 of the pairs, a set's one list being the one-strength case, numbered by
-ascending count of separators. A branch and bound over them,
+ascending count of separators. It packs one table: a set's truncated
+rows, or bdim's raw distances, which separate what the truncation at its
+largest cap does. bdim's lower strengths follow from balls: z separates
+a pair at strength i exactly when it separates it at all and one end lies
+within distance i of z. A branch and bound over them,
 `_separable`, decides whether strengths of total cost at most L
 separate every pair: it branches on the lowest open pair, the rarest,
 and raises each of its separators to the strength from which it
@@ -136,9 +144,10 @@ strength splits it at every higher one, so none can do more than at
 strength min(r, its cap). The subtree is skipped when some pair has no
 such landmark, which one class list per strength decides for every pair
 at once (`_split_classes`); its candidates are counted, as below a class
-count cut. The test starts once the scan has built the codes of n**2
-nodes per strength the level reads, n times as many codes as those class
-lists have entries, so a tiny solve builds none. It counts nodes built,
+count cut. The test starts once the scan has refined the codes of n**2
+nodes per strength the level reads, counting their classes or building
+them, n times as many entries as those class lists have, so a tiny solve
+builds none. It counts nodes built (`nodes_built`),
 not candidates checked, because the class-count bound leaves few leaves
 to check; and it opens at once on the levels after one that the
 proof above ruled out, which built no node but is no tiny solve. Pair
@@ -152,7 +161,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate, combinations, count, repeat
 from math import comb, inf
-from operator import add, mul, sub
+from operator import add, and_, mul, or_, sub
 from typing import Optional, Sequence, Union
 
 from .graphs import DistanceMatrix, Graph, all_pairs_distances, build_graph
@@ -178,8 +187,10 @@ class SolverResult:
     # over the covers per strength, or, for a set, in levels below its
     # counting floor.
     candidates_checked: int
-    # The nodes of the code scan whose codes were built; a level walked
-    # over the pair tables and a level proved empty build none.
+    # The nodes of the code scan that passed their row's gain test, whose
+    # classes were counted; those the count kept had their codes built. A
+    # level walked over the pair tables and a level proved empty count
+    # none.
     nodes_built: int = 0
 
 
@@ -382,13 +393,14 @@ def _split_classes(rows, caps: Sequence[int], base: int, r: int) -> list[list[in
 
 
 def _search(
-    rows, caps: Sequence[int], lb: int, groups, tables=None, collect: bool = False
+    rows, caps: Sequence[int], lb: int, groups, dist=None, collect: bool = False
 ) -> tuple[Optional[int], int, int, int, list[tuple[tuple[int, int], ...]]]:
     """Scan strength vectors level by level, each cost from lb up (below n
     for a set) and lexicographic order within a cost, for ones whose codes
     are all distinct; stop after the first level that has one. A broadcast
-    passes `tables`, its whole table of rows at each strength 1..max(caps),
-    of which `rows` keeps those within the caps.
+    passes `dist`, its raw distance rows, from which `_pair_tables` makes
+    the covers of every strength 1..max(caps); `rows` holds its rows within
+    the caps.
 
     One walk, `extend`, runs every level, in one of three modes: it checks
     codes, it counts with `codes` None, or, where `walking` is set for the
@@ -420,7 +432,9 @@ def _search(
     candidate. Each node knows how many classes its codes miss, and no
     vector resolves below a child (z, v) when gain[v][z] + best[left][z]
     falls short of that, or when the child's own codes miss more than
-    best[left][z] (the class-count bound of the module docstring, with
+    best[left][z], counted before they are built, so that only a child the
+    count keeps builds its codes (the class-count bound of the module
+    docstring, with
     `left` the cost left below the child); nor at a leaf whose row's gain
     falls short. The candidates below such a child are counted without
     building or checking codes: from the cost table `ways` when no
@@ -438,7 +452,7 @@ def _search(
     """
     n = len(caps)
     base = n + 1
-    broadcast = tables is not None
+    broadcast = dist is not None
     need = n if broadcast else 0  # a set's counting condition always holds
     # after[z] = sum(caps[z + 1:]), the most cost the vertices above z take.
     after = list(accumulate(caps[:0:-1], initial=0))[::-1]
@@ -506,7 +520,10 @@ def _search(
         return the number of candidates examined below this node.
 
         `codes` holds each vertex's code so far, times `base`, and falls
-        `missing` classes short of n (0 when not known); the vector so far
+        `missing` classes short of n (0 when not known). A child counts
+        its classes, `short` missed, before it builds its codes, and only
+        one that survives the count builds them; `built` counts both
+        kinds. The vector so far
         has `supp` support vertices and prod(f + 1) = `weight`, and `free`
         holds the twin-group members it has not chosen, all that the twin
         rule reads (`_twin_debt`). The walk stops at the first resolving
@@ -609,8 +626,10 @@ def _search(
                     # separates the pairs it leaves open. A scan cuts it
                     # first when row (z, v) and cost `left` above z cannot
                     # add the classes the codes miss, then when the child's
-                    # own codes miss more than `left` can add, or the split
-                    # cut rules them out.
+                    # classes miss more than `left` can add, or the split
+                    # cut rules out its codes. Scaling by `base` keeps
+                    # classes apart, so the count comes before the codes,
+                    # which only a child that survives it builds.
                     if codes is None:
                         skip = True
                     elif walking:
@@ -619,19 +638,20 @@ def _search(
                     else:
                         skip = missing and gain[v][z] + best[left][z] < missing
                         if not skip:
-                            nxt = [c * base for c in map(add, codes, rows[v][z])]
                             built += 1
                             if best is not None:
-                                short = n - len(set(nxt))
+                                short = n - len(set(map(add, codes, rows[v][z])))
                                 skip = best[left][z] < short
                             elif built >= bound_gate:
                                 make_bound()
-                            if not skip and left > 1 and built >= gate:
-                                r = left if left < strongest else strongest
-                                classes = split.get(r)
-                                if classes is None:
-                                    classes = split[r] = _split_classes(rows, caps, base, r)
-                                skip = len(set(map(add, nxt, classes[z]))) < n
+                            if not skip:
+                                nxt = [c * base for c in map(add, codes, rows[v][z])]
+                                if left > 1 and built >= gate:
+                                    r = left if left < strongest else strongest
+                                    classes = split.get(r)
+                                    if classes is None:
+                                        classes = split[r] = _split_classes(rows, caps, base, r)
+                                    skip = len(set(map(add, nxt, classes[z]))) < n
                     if skip:
                         if z >= clear and supp + 1 + w * (left + 1) >= need:
                             total += ways[z + 1][left]
@@ -672,7 +692,7 @@ def _search(
         walking = proving and _proof_first(n, _class_slack(gain, best, caps, cost), cost, broadcast)
         if walking:
             if seps is None:
-                seps, *covers = _pair_tables(*(tables or (ones,)))
+                seps, *covers = _pair_tables(dist, strongest) if broadcast else _pair_tables(ones)
             root = (1 << len(seps)) - 1  # every pair open
             if not _separable(seps, covers, caps, cost, root, top - 1):
                 examined += extend(None, -1, cost, 0, 1, members, 0) if broadcast else _twin_subsets(n, masks)[cost]
@@ -740,18 +760,26 @@ def _solve_truncated(g: Graph, k: int, d: Optional[DistanceMatrix], kind: str) -
 _DIGITS = b"0" + b"1" * 255
 
 
-def _pair_tables(*tables) -> tuple[list[int], ...]:
-    """Return (seps, covers_1, ..., covers_T), the pair-separation tables
-    of the symmetric tables of rows `tables`, T >= 1 of them, each of
-    n >= 2 landmarks, all under one numbering of the pairs. covers_i[z] is
-    the bitmask of the pairs that tables[i - 1][z] separates, bit p for the
-    p-th pair x < y, separated where rows[z][x] != rows[z][y]; seps[p] is
-    the bitmask of the landmarks that the last table's rows separate the
-    p-th pair by. A set solve has one table, (seps, covers_1). bdim has one
-    per strength, `DistanceMatrix.truncated(i)`: what z separates grows
-    with i up to z's cap and no further, so the last table's seps hold
-    every landmark that separates a pair at some strength within its cap,
-    and no row above a cap is needed.
+def _pair_tables(rows, strongest: int = 1) -> tuple[list[int], ...]:
+    """Return (seps, covers), the pair-separation tables of the symmetric
+    table of rows `rows`, of n >= 2 landmarks. covers[z] is the bitmask of
+    the pairs that rows[z] separates, bit p for the p-th pair x < y,
+    separated where rows[z][x] != rows[z][y]; seps[p] is the bitmask of
+    the landmarks that separate the p-th pair. A set solve passes its one
+    truncated table.
+
+    With `strongest` = T >= 2, `rows` are distances, the sentinel n
+    included, that separate the pairs their truncation at T + 1 does, and
+    the tables are (seps, covers_1, ..., covers_T), covers_i for the rows
+    truncated at i + 1, so covers_T is covers. bdim passes the raw
+    distances and its largest cap, whose truncation leaves every finite
+    distance as it is and the sentinel above them, connected or not: seps
+    holds every landmark that separates a pair at some strength within its
+    cap. z separates x and y at strength i exactly when it separates them
+    at all and one of them lies within distance i of z, so covers_i[z] is
+    covers[z] & near_i[z], near_i[z] the pairs that hold a vertex of z's
+    ball of radius i. The sentinel, above every radius, never enters a
+    ball. T = 1, the default, gives (seps, covers) alone.
 
     rows[z][x] = rows[x][z], so pair (x, y) compares rows x and y entry by
     entry. Each row x is packed once into one int, packed[x], whose field
@@ -763,36 +791,49 @@ def _pair_tables(*tables) -> tuple[list[int], ...]:
     per landmark, and translated to binary digits (`_DIGITS`), the XOR is
     the pair's numeral: `int` parses it into the pair's entry of seps.
 
-    The pairs are numbered by ascending count of separators in the last
-    table, so the lowest bit of any mask of pairs is the pair in it with
-    the fewest separators at the last strength. The order comes from a
-    sort of the pair indices on their digit counts. That sort must be
-    stable: ties keep `combinations` order, which makes the tables a
-    function of the rows alone, and so the order in which the branch and
-    bound tries separators. Each table's numerals, joined from the last
-    pair up, are read down their columns: column j, every n-th digit from
-    j, is the numeral of covers[n - 1 - j].
+    The pairs are numbered by ascending count of separators, so the lowest
+    bit of any mask of pairs is the pair in it with the fewest separators,
+    at the last strength for bdim. The order comes from a sort of the pair
+    indices on their digit counts. That sort must be stable: ties keep
+    `combinations` order, which makes the tables a function of the rows
+    alone, and so the order in which the branch and bound tries
+    separators. The numerals, joined from the last pair up, are read down
+    their columns: column j, every n-th digit from j, is the numeral of
+    covers[n - 1 - j]. Each vertex's pair-incidence mask is spelled the
+    same way, one digit per pair from the last one up.
     """
-    n = len(tables[0])
-    numerals = []
-    for rows in tables:
-        if n < 256:
-            packed = [int.from_bytes(bytes(row), "little") for row in rows]
-            spell = [(packed[x] ^ packed[y]).to_bytes(n, "big") for x, y in combinations(range(n), 2)]
-        else:
-            packed = [int.from_bytes(b"".join(e.to_bytes(2, "little") for e in row), "little") for row in rows]
-            spell = [
-                ((diff := packed[x] ^ packed[y]) | diff >> 8).to_bytes(2 * n, "big")[1::2]
-                for x, y in combinations(range(n), 2)
-            ]
-        numerals.append([sep.translate(_DIGITS) for sep in spell])
-    last = numerals[-1]
-    counts = list(map(bytes.count, last, repeat(b"1")))
-    order = sorted(range(len(last)), key=counts.__getitem__)
-    seps = [int(last[p], 2) for p in order]
+    n = len(rows)
+    pairs = list(combinations(range(n), 2))
+    if n < 256:
+        packed = [int.from_bytes(bytes(row), "little") for row in rows]
+        spell = [(packed[x] ^ packed[y]).to_bytes(n, "big") for x, y in pairs]
+    else:
+        packed = [int.from_bytes(b"".join(e.to_bytes(2, "little") for e in row), "little") for row in rows]
+        spell = [((diff := packed[x] ^ packed[y]) | diff >> 8).to_bytes(2 * n, "big")[1::2] for x, y in pairs]
+    numerals = [sep.translate(_DIGITS) for sep in spell]
+    counts = list(map(bytes.count, numerals, repeat(b"1")))
+    order = sorted(range(len(pairs)), key=counts.__getitem__)
+    seps = [int(numerals[p], 2) for p in order]
     order.reverse()
-    blobs = (b"".join(map(bits.__getitem__, order)) for bits in numerals)
-    return seps, *([int(blob[j::n], 2) for j in range(n - 1, -1, -1)] for blob in blobs)
+    blob = b"".join(map(numerals.__getitem__, order))
+    covers = [int(blob[j::n], 2) for j in range(n - 1, -1, -1)]
+    if strongest == 1:
+        return seps, covers
+    # incident[x]: the pairs that hold x.
+    digits = [bytearray(b"0" * len(pairs)) for _ in range(n)]
+    for j, p in enumerate(order):
+        x, y = pairs[p]
+        digits[x][j] = digits[y][j] = 49  # "1"
+    incident = [int(spelled, 2) for spelled in digits]
+    # balls[z][i - 1] = near_i[z] for i < T, grown one distance at a time.
+    balls = []
+    for row in rows:
+        shells = [0] * strongest
+        for x, e in enumerate(row):
+            if e < strongest:
+                shells[e] |= incident[x]
+        balls.append(list(accumulate(shells, or_))[1:])
+    return seps, *(list(map(and_, covers, near)) for near in zip(*balls)), covers
 
 
 def _separable(seps: list[int], covers: list[list[int]], caps: Sequence[int], budget: int, open_: int, avail: int) -> bool:
@@ -915,7 +956,7 @@ def _broadcast_search(g: Graph, d: Optional[DistanceMatrix], collect: bool):
     tables = [d.truncated(i) for i in range(1, max(caps) + 1)]
     # rows[i][z] = code row of z at strength i (None above z's cap)
     rows = [None] + [[row if i <= cap else None for row, cap in zip(table, caps)] for i, table in enumerate(tables, 1)]
-    return (lb, *_search(rows, caps, lb, twins.groups, tables, collect))
+    return (lb, *_search(rows, caps, lb, twins.groups, d.dist, collect))
 
 
 def solve_bdim(g: Graph, d: Optional[DistanceMatrix] = None) -> SolverResult:

@@ -654,23 +654,62 @@ def _resolves(d, f):
     return len(codes) == n
 
 
-def test_pair_tables_per_strength_match_their_definition():
-    # With one table per strength, covers_i[z] holds the pairs that row z
-    # of table i splits, all under the numbering of the last table, and
-    # seps the last table's separators: on every labelled graph of order
-    # 2 to 5 and the strengths 1 to its largest cap.
-    for g in labelled_graphs(5):
-        n = g.n
-        if n < 2:
-            continue
-        d = all_pairs_distances(g)
-        tables = [d.truncated(i) for i in range(1, max(broadcast_value_caps(g, d)) + 1)]
-        pairs = sorted(combinations(range(n), 2), key=lambda pair: sum(row[pair[0]] != row[pair[1]] for row in tables[-1]))
-        seps, *covers = _pair_tables(*tables)
-        assert len(covers) == len(tables)
-        assert seps == [sum(1 << z for z in range(n) if tables[-1][z][x] != tables[-1][z][y]) for x, y in pairs]
+def _assert_per_strength_tables(g, sample=None):
+    """Assert that the per-strength tables of g, from its distances and
+    largest cap, match their definition: covers_i[z] holds the pairs that
+    row z of `truncated(i)` splits, all under the numbering of the last
+    strength's separators, and seps the last strength's separators. With
+    `sample`, a count of pairs, only that many seeded pairs and every pair
+    that holds vertex 0 or n - 1 are checked, at every landmark and
+    strength."""
+    n = g.n
+    d = all_pairs_distances(g)
+    tables = [d.truncated(i) for i in range(1, max(broadcast_value_caps(g, d)) + 1)]
+    # Row z of a table is its column z, so the separators of pair (x, y)
+    # are the entries where rows x and y differ.
+    last = tables[-1]
+    pairs = sorted(combinations(range(n), 2), key=lambda pair: sum(map(ne, last[pair[0]], last[pair[1]])))
+    seps, *covers = _pair_tables(d.dist, len(tables))
+    assert len(covers) == len(tables)
+    if sample is None:
+        assert seps == [sum(1 << z for z in range(n) if last[z][x] != last[z][y]) for x, y in pairs]
         for table, cover in zip(tables, covers):
             assert cover == [sum(1 << p for p, (x, y) in enumerate(pairs) if table[z][x] != table[z][y]) for z in range(n)]
+        return
+    assert len(seps) == len(pairs) and all(cover[z] >> len(pairs) == 0 for cover in covers for z in range(n))
+    ends = [p for p, (x, y) in enumerate(pairs) if x == 0 or y == n - 1]
+    for p in random.Random(n).sample(range(len(pairs)), sample) + ends:
+        x, y = pairs[p]
+        assert seps[p] == sum(1 << z for z in range(n) if last[z][x] != last[z][y]), (x, y)
+        for table, cover in zip(tables, covers):
+            assert [cover[z] >> p & 1 for z in range(n)] == [table[z][x] != table[z][y] for z in range(n)], (x, y)
+
+
+def test_pair_tables_per_strength_match_their_definition():
+    # One packed distance table and the balls around each landmark give
+    # the tables of every strength from 1 to the largest cap: on every
+    # labelled graph of order 2 to 5, on seeded G(n, p) and random trees of
+    # orders 6 to 14, and on the disconnected graphs among G(14, 0.12),
+    # seeds 0 to 39, whose sentinel must stay out of every ball.
+    rng = random.Random(20261022)
+    graphs = [g for g in labelled_graphs(5) if g.n > 1]
+    for n in range(6, 15):
+        graphs += [families.random_graph(n, rng.uniform(0.15, 0.6), rng.randrange(2**31)) for _ in range(3)]
+        graphs += [families.random_tree(n, rng.randrange(2**31)) for _ in range(2)]
+    sparse = [families.random_graph(14, 0.12, seed) for seed in range(40)]
+    disconnected = [g for g in sparse if not metric_profile(g).connected]
+    assert len(disconnected) == 37
+    for g in graphs + disconnected:
+        _assert_per_strength_tables(g)
+    # K(1, 254) plus an isolated vertex: n = 256, so the sentinel takes two
+    # bytes, and the largest cap is 2. At strength 1 a leaf splits no pair
+    # of another leaf and the isolated vertex, which lie at distance 2 and
+    # the sentinel from it; at strength 2 it splits them all. The pairs
+    # checked include every pair that holds the center or the isolated
+    # vertex.
+    star = disjoint_union(families.star(254), build_graph(1, []))
+    assert max(broadcast_value_caps(star)) == 2
+    _assert_per_strength_tables(star, sample=300)
 
 
 def test_weighted_separation_matches_brute_force():
@@ -690,7 +729,7 @@ def test_weighted_separation_matches_brute_force():
         n = g.n
         d = all_pairs_distances(g)
         caps = broadcast_value_caps(g, d)
-        seps, *covers = _pair_tables(*(d.truncated(i) for i in range(1, max(caps) + 1)))
+        seps, *covers = _pair_tables(d.dist, max(caps))
         everything = (1 << len(seps)) - 1
         for cost in count(1):
             brute = any(_resolves(d, f) for f in _capped_vectors(caps, cost))

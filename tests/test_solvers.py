@@ -396,14 +396,31 @@ def test_solver_stats_present():
 
 def test_nodes_built_counts_the_code_scan():
     # A solve of order 2 or less checks its leaves and builds no node's
-    # codes; bdim of C16, whose class-count bound is made before its first
-    # level, builds the codes of 1,458 nodes. The slack of bdim on C20 and
-    # P20 stays below n/2, so every level of theirs is scanned by codes.
+    # codes. The slack of bdim on C20 and P20 stays below n/2, so every
+    # level of theirs is scanned by codes.
     for g in labelled_graphs(2):
         d = all_pairs_distances(g)
         for res in (solve_dim(g, d), solve_adim(g, d), solve_dim_k(g, 2, d), solve_bdim(g, d)):
             assert res.nodes_built == 0, (res.kind, g.n, g.edges())
-    assert solve_bdim(families.cycle(16)).nodes_built == 1458
+    # The benchmark ladder's scanned solves, (candidates checked, nodes
+    # built): a node counts once its row's gain passes, whether or not its
+    # class count then cuts it before its codes are built. bdim of C16,
+    # whose class-count bound is made before its first level, cuts 1,007
+    # of its 1,458 that way.
+    ladder = [
+        solve_bdim(families.cycle(16)),
+        solve_bdim(families.path(14)),
+        solve_bdim(families.grid((3, 5))),
+        solve_adim(families.cycle(17)),
+        solve_adim(families.path(17)),
+    ]
+    assert [(res.candidates_checked, res.nodes_built) for res in ladder] == [
+        (42, 1458),
+        (68, 1156),
+        (154, 208),
+        (19, 568),
+        (23, 590),
+    ]
     scanned = [solve_bdim(families.cycle(20)), solve_bdim(families.path(20))]
     assert [(res.candidates_checked, res.nodes_built) for res in scanned] == [(350, 16516), (30, 5105)]
     # Trees with twin leaves, where the twin rule bounds and steers the
